@@ -304,13 +304,6 @@ pub fn run(opts: &Options) -> Outcome {
         run_timed(opts, workers, &mut text)
     };
     let check = verdict.check;
-    let outcome = Outcome {
-        correct: check.failed == 0,
-        attempted: check.planted,
-        failed: check.failed,
-        metrics,
-        text: String::new(),
-    };
     for line in check.offenders.iter().take(50) {
         let _ = writeln!(text, "OFFENDER {line}");
     }
@@ -320,18 +313,24 @@ pub fn run(opts: &Options) -> Outcome {
     let _ = writeln!(
         text,
         "failed_share = {:.6} share ({} of {} planted host checks failed)",
-        outcome.failed_share(),
-        outcome.failed,
-        outcome.attempted
+        check.failed as f64 / check.planted.max(1) as f64,
+        check.failed,
+        check.planted
     );
-    for (def, value) in &outcome.metrics {
+    for (def, value) in &metrics {
         let _ = writeln!(
             text,
             "{} = {} {}  ({})",
             def.name, value, def.unit, def.about
         );
     }
-    Outcome { text, ..outcome }
+    Outcome {
+        correct: check.failed == 0,
+        attempted: check.planted,
+        failed: check.failed,
+        metrics,
+        text,
+    }
 }
 
 fn timed_setup(opts: &Options, workers: usize) -> (f64, World) {
