@@ -9,8 +9,10 @@ use crate::asn::AsRegistry;
 use crate::cidr::Ipv4;
 use crate::clock::VirtualClock;
 use crate::faults::{ConnectFate, CutConn, NetProfile, ProfileProvider, TarpitConn};
+use crate::stream::TcpStreamSim;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// What a connection state machine produced for one input.
 #[derive(Debug, Default)]
@@ -143,6 +145,15 @@ pub enum ConnectPoll {
 }
 
 impl ConnectPoll {
+    /// A host's answer to a SYN: accept if `listening`, else RST.
+    fn answered(listening: bool, rtt_micros: Option<u32>) -> ConnectPoll {
+        if listening {
+            ConnectPoll::Listening { rtt_micros }
+        } else {
+            ConnectPoll::Refused { rtt_micros }
+        }
+    }
+
     /// True if a blocking connect would succeed.
     pub fn will_accept(&self) -> bool {
         matches!(self, ConnectPoll::Listening { .. })
@@ -169,42 +180,95 @@ struct HostEntry {
     rtt_micros: u32,
 }
 
-/// Lazily resolves hosts that are not (yet) in the bound host table.
-///
-/// A resolver is the hook behind lazy world materialization: the sweep
-/// and the probe stack keep calling [`Internet::has_listener`] /
-/// [`Internet::connect`] as if every host were pre-bound, and the
-/// resolver answers occupancy queries from a seeded predicate in O(1) —
-/// without allocating anything per address — then materializes (builds
-/// and binds) a host the first time a connection actually reaches it.
-///
-/// Contract:
-/// * `host_exists` / `has_listener` must be side-effect free and cheap —
-///   they are called once per swept address.
-/// * `materialize` must leave the host bound on `net` before returning
-///   (or do nothing if the address is actually empty); it is only called
-///   after `host_exists` returned true, and must be idempotent — probe
-///   workers race on it.
-/// * Answers must be consistent with what `materialize` binds, or probes
-///   become non-deterministic.
-pub trait HostResolver: Send + Sync {
+/// The occupancy of a lazy world at one point of its history. Both
+/// methods run once per swept address: cheap, lock-free, side-effect free.
+pub trait HostLayout: Send + Sync {
     /// True if a host occupies `addr` (SYN would not time out).
     fn host_exists(&self, addr: Ipv4) -> bool;
-    /// True if something listens on `(addr, port)` — the sweep's SYN
-    /// probe. Must not materialize anything.
+    /// True if something listens on `(addr, port)` — the sweep's SYN probe.
     fn has_listener(&self, addr: Ipv4, port: u16) -> bool;
+}
+
+/// Lazily resolves hosts that are not (yet) in the bound host table: the
+/// hook behind lazy world materialization. Its [`HostLayout`] answers the
+/// occupancy queries the table misses, in O(1) and with no per-address
+/// allocation; the first connection to reach a host materializes it.
+///
+/// Contract:
+/// * **Snapshots.** `layout` returns an immutable snapshot, which a sweep
+///   takes once per shard and keeps for the whole walk. A world's layout
+///   changes only between campaigns (for the `population` crate, only
+///   under `EvolvingWorld::evolve`), never during a scan. Once the world
+///   is gone, `layout` returns `None` and old snapshots answer "nothing
+///   there".
+/// * `materialize` binds the host on `net` (or does nothing for an empty
+///   address). It is idempotent — probe workers race on it — and binds
+///   exactly what the layout promised, or probes become non-deterministic.
+/// * **The "ever bound" filter.** The bound table answers first. Binding
+///   sets the address's bit in a filter, and bits are only ever set: a
+///   clear bit proves the table never held the address (the query skips
+///   the table lock), a set bit only means "check the table".
+pub trait HostResolver: Send + Sync {
+    /// A snapshot of the current layout; `None` once the world is gone.
+    fn layout(&self) -> Option<Arc<dyn HostLayout>>;
     /// Builds and binds the host at `addr` onto `net` (first contact).
     fn materialize(&self, net: &Internet, addr: Ipv4);
+}
+
+/// log2 of the "ever bound" filter's bits: 32 KiB for a few thousand hosts.
+const EVER_BOUND_BITS: u32 = 18;
+
+/// Word and bit of `addr` in the "ever bound" filter (Fibonacci hashing).
+fn ever_bound_slot(addr: Ipv4) -> (usize, u64) {
+    let bit = addr.0.wrapping_mul(0x9E37_79B9) >> (32 - EVER_BOUND_BITS);
+    ((bit >> 6) as usize, 1 << (bit & 63))
+}
+
+/// State shared by every clock view of one Internet.
+struct Shared {
+    hosts: RwLock<HashMap<u32, HostEntry>>,
+    /// The "ever bound" filter (see [`HostResolver`]): Release sets, Acquire loads.
+    ever_bound: Box<[AtomicU64]>,
+    registry: RwLock<AsRegistry>,
+    resolver: OnceLock<Arc<dyn HostResolver>>,
+    profiles: OnceLock<Arc<dyn ProfileProvider>>,
 }
 
 /// The simulated Internet. Cheap to clone (shared interior).
 #[derive(Clone)]
 pub struct Internet {
     clock: VirtualClock,
-    hosts: Arc<RwLock<HashMap<u32, HostEntry>>>,
-    registry: Arc<RwLock<AsRegistry>>,
-    resolver: Arc<RwLock<Option<Arc<dyn HostResolver>>>>,
-    profiles: Arc<RwLock<Option<Arc<dyn ProfileProvider>>>>,
+    shared: Arc<Shared>,
+}
+
+/// A sweep's occupancy view ([`Internet::occupancy`]): an address nothing
+/// was ever bound to costs no lock and no shared-counter write.
+pub struct Occupancy<'a> {
+    net: &'a Internet,
+    layout: Option<Arc<dyn HostLayout>>,
+}
+
+impl Occupancy<'_> {
+    /// SYN-probe semantics: does anything listen on `(addr, port)`?
+    pub fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
+        self.net
+            .route(self.layout.as_deref(), addr, port)
+            .will_accept()
+    }
+}
+
+/// Lock-poisoning policy, centralized: every guard scope in this file is
+/// a short table read or update, so a poisoned lock means another worker
+/// already panicked mid-simulation. Surfacing that as a typed error would
+/// bury the original panic — propagate.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    // ua-lint: allow(panic-hygiene) -- poisoned table: a peer panicked; propagate it
+    lock.read().expect("poisoned: a peer panicked")
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    // ua-lint: allow(panic-hygiene) -- poisoned table: a peer panicked; propagate it
+    lock.write().expect("poisoned: a peer panicked")
 }
 
 impl Internet {
@@ -212,35 +276,21 @@ impl Internet {
     pub fn new(clock: VirtualClock) -> Self {
         Internet {
             clock,
-            hosts: Arc::new(RwLock::new(HashMap::new())),
-            registry: Arc::new(RwLock::new(AsRegistry::new())),
-            resolver: Arc::new(RwLock::new(None)),
-            profiles: Arc::new(RwLock::new(None)),
+            shared: Arc::new(Shared {
+                hosts: RwLock::new(HashMap::new()),
+                ever_bound: (0..1 << (EVER_BOUND_BITS - 6))
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
+                registry: RwLock::new(AsRegistry::new()),
+                resolver: OnceLock::new(),
+                profiles: OnceLock::new(),
+            }),
         }
     }
 
     /// The shared clock.
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
-    }
-
-    /// Lock-poisoning policy, centralized: every guard scope in this
-    /// file is a short table read or update, so a poisoned lock means
-    /// another worker already panicked mid-simulation. Surfacing that
-    /// as a typed error would bury the original panic — propagate.
-    fn hosts_read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<u32, HostEntry>> {
-        // ua-lint: allow(panic-hygiene) -- poisoned host table: a peer panicked; propagate it
-        self.hosts.read().unwrap()
-    }
-
-    fn hosts_write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<u32, HostEntry>> {
-        // ua-lint: allow(panic-hygiene) -- poisoned host table: a peer panicked; propagate it
-        self.hosts.write().unwrap()
-    }
-
-    fn registry_read(&self) -> std::sync::RwLockReadGuard<'_, AsRegistry> {
-        // ua-lint: allow(panic-hygiene) -- poisoned registry: a peer panicked; propagate it
-        self.registry.read().unwrap()
     }
 
     /// A view of the same Internet (shared hosts and AS registry) driven
@@ -251,76 +301,64 @@ impl Internet {
     pub fn with_clock(&self, clock: VirtualClock) -> Internet {
         Internet {
             clock,
-            hosts: Arc::clone(&self.hosts),
-            registry: Arc::clone(&self.registry),
-            resolver: Arc::clone(&self.resolver),
-            profiles: Arc::clone(&self.profiles),
+            shared: Arc::clone(&self.shared),
         }
     }
 
-    /// Installs a [`HostResolver`] that backs the host table with a lazy
-    /// world: occupancy queries that miss the bound table fall through
-    /// to the resolver, and connects to resolver-known addresses
+    /// Installs the [`HostResolver`] that backs the host table with a
+    /// lazy world: occupancy queries that miss the bound table fall
+    /// through to its layout, and connects to resolver-known addresses
     /// materialize the host on first contact. Shared by all clock views
     /// ([`Internet::with_clock`]), so sharded scan workers see the same
-    /// lazy world.
+    /// lazy world. Set once, read without a lock: a second install on
+    /// the same Internet panics.
     pub fn set_resolver(&self, resolver: Arc<dyn HostResolver>) {
-        // ua-lint: allow(panic-hygiene) -- poisoned resolver slot: a peer panicked; propagate it
-        *self.resolver.write().unwrap() = Some(resolver);
-    }
-
-    fn resolver(&self) -> Option<Arc<dyn HostResolver>> {
-        // ua-lint: allow(panic-hygiene) -- poisoned resolver slot: a peer panicked; propagate it
-        self.resolver.read().unwrap().clone()
+        if self.shared.resolver.set(resolver).is_err() {
+            // ua-lint: allow(panic-hygiene) -- one world per Internet: a second install is a caller bug
+            panic!("a host resolver is already installed on this Internet");
+        }
     }
 
     /// Installs a [`ProfileProvider`]: every subsequent connect consults
     /// it for middlebox faults (loss, tarpits, rate limiting). Shared by
     /// all clock views ([`Internet::with_clock`]), so sharded scan
     /// workers face identical hostility. Without one the Internet stays
-    /// polite — every attempt [`ConnectFate::Deliver`]s.
+    /// polite — every attempt [`ConnectFate::Deliver`]s. Set once, read
+    /// without a lock: a second install on the same Internet panics.
     pub fn set_profiles(&self, profiles: Arc<dyn ProfileProvider>) {
-        // ua-lint: allow(panic-hygiene) -- poisoned profile slot: a peer panicked; propagate it
-        *self.profiles.write().unwrap() = Some(profiles);
-    }
-
-    fn profiles(&self) -> Option<Arc<dyn ProfileProvider>> {
-        // ua-lint: allow(panic-hygiene) -- poisoned profile slot: a peer panicked; propagate it
-        self.profiles.read().unwrap().clone()
+        if self.shared.profiles.set(profiles).is_err() {
+            // ua-lint: allow(panic-hygiene) -- one fault plan per Internet: a second install is a caller bug
+            panic!("a profile provider is already installed on this Internet");
+        }
     }
 
     /// The network profile guarding `addr` (polite when no provider is
     /// installed or the provider does not list the address).
     pub fn profile_of(&self, addr: Ipv4) -> NetProfile {
-        self.profiles()
+        self.shared
+            .profiles
+            .get()
             .map_or_else(NetProfile::polite, |p| p.profile_of(addr))
     }
 
     /// Replaces the AS registry.
     pub fn set_registry(&self, registry: AsRegistry) {
-        // ua-lint: allow(panic-hygiene) -- poisoned registry: a peer panicked; propagate it
-        *self.registry.write().unwrap() = registry;
+        *write(&self.shared.registry) = registry;
     }
 
     /// AS number owning `addr` (0 if unannounced).
     pub fn as_number(&self, addr: Ipv4) -> u32 {
-        self.registry_read().as_number(addr)
+        read(&self.shared.registry).as_number(addr)
     }
 
     /// Runs `f` with read access to the AS registry.
     pub fn with_registry<T>(&self, f: impl FnOnce(&AsRegistry) -> T) -> T {
-        f(&self.registry_read())
+        f(&read(&self.shared.registry))
     }
 
     /// Adds (or replaces) a host with the given round-trip time.
     pub fn add_host(&self, addr: Ipv4, rtt_micros: u32) {
-        self.hosts_write().insert(
-            addr.0,
-            HostEntry {
-                services: HashMap::new(),
-                rtt_micros,
-            },
-        );
+        self.install_host(addr, rtt_micros, Vec::new());
     }
 
     /// Atomically installs (or replaces) a host together with its
@@ -333,7 +371,10 @@ impl Internet {
         rtt_micros: u32,
         services: Vec<(u16, Arc<dyn Service>)>,
     ) {
-        self.hosts_write().insert(
+        let mut hosts = write(&self.shared.hosts);
+        let (word, mask) = ever_bound_slot(addr);
+        self.shared.ever_bound[word].fetch_or(mask, Ordering::Release);
+        hosts.insert(
             addr.0,
             HostEntry {
                 services: services.into_iter().collect(),
@@ -344,12 +385,12 @@ impl Internet {
 
     /// Removes a host entirely (device went offline / changed IP).
     pub fn remove_host(&self, addr: Ipv4) {
-        self.hosts_write().remove(&addr.0);
+        write(&self.shared.hosts).remove(&addr.0);
     }
 
     /// Binds a service to `(addr, port)`; the host must exist.
     pub fn bind(&self, addr: Ipv4, port: u16, service: Arc<dyn Service>) {
-        let mut hosts = self.hosts_write();
+        let mut hosts = write(&self.shared.hosts);
         let host = hosts
             .get_mut(&addr.0)
             // ua-lint: allow(panic-hygiene) -- binding to an unbound address is a caller bug
@@ -359,17 +400,53 @@ impl Internet {
 
     /// Unbinds a port.
     pub fn unbind(&self, addr: Ipv4, port: u16) {
-        if let Some(host) = self.hosts_write().get_mut(&addr.0) {
+        if let Some(host) = write(&self.shared.hosts).get_mut(&addr.0) {
             host.services.remove(&port);
+        }
+    }
+
+    /// A snapshot of the resolver's current layout, if one is installed.
+    fn layout(&self) -> Option<Arc<dyn HostLayout>> {
+        self.shared.resolver.get().and_then(|r| r.layout())
+    }
+
+    /// The one occupancy decision, as a fault-free [`ConnectPoll`]: the
+    /// bound table unless the "ever bound" filter rules it out, then
+    /// `layout` (whose hosts have no RTT until bound).
+    fn route(&self, layout: Option<&dyn HostLayout>, addr: Ipv4, port: u16) -> ConnectPoll {
+        let (word, mask) = ever_bound_slot(addr);
+        if self.shared.ever_bound[word].load(Ordering::Acquire) & mask != 0 {
+            if let Some(host) = read(&self.shared.hosts).get(&addr.0) {
+                let listening = host.services.contains_key(&port);
+                return ConnectPoll::answered(listening, Some(host.rtt_micros));
+            }
+        }
+        match layout {
+            Some(layout) if layout.host_exists(addr) => {
+                ConnectPoll::answered(layout.has_listener(addr, port), None)
+            }
+            _ => ConnectPoll::NoRoute {
+                timeout_micros: SYN_TIMEOUT_MICROS,
+            },
+        }
+    }
+
+    /// A sweep's occupancy view over one layout snapshot: take one per
+    /// shard, never keep one across world evolution.
+    pub fn occupancy(&self) -> Occupancy<'_> {
+        Occupancy {
+            net: self,
+            layout: self.layout(),
         }
     }
 
     /// True if a host exists at `addr` — bound or resolver-known.
     pub fn host_exists(&self, addr: Ipv4) -> bool {
-        if self.hosts_read().contains_key(&addr.0) {
-            return true;
-        }
-        self.resolver().is_some_and(|r| r.host_exists(addr))
+        // Nothing listens on the reserved port 0: only presence counts.
+        !matches!(
+            self.route(self.layout().as_deref(), addr, 0),
+            ConnectPoll::NoRoute { .. }
+        )
     }
 
     /// SYN-probe semantics: does anything listen on `(addr, port)`?
@@ -379,24 +456,21 @@ impl Internet {
     /// unmaterialized one from the resolver's O(1) predicate — the SYN
     /// itself never materializes anything.
     pub fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
-        {
-            let hosts = self.hosts_read();
-            if let Some(h) = hosts.get(&addr.0) {
-                return h.services.contains_key(&port);
-            }
-        }
-        self.resolver().is_some_and(|r| r.has_listener(addr, port))
+        self.occupancy().has_listener(addr, port)
     }
 
     /// Number of *bound* hosts (lazy worlds: materialized so far).
     pub fn host_count(&self) -> usize {
-        self.hosts_read().len()
+        read(&self.shared.hosts).len()
     }
 
     /// All host addresses, ascending (deterministic iteration for
     /// tests/ground truth; a real scanner cannot do this).
     pub fn host_addresses(&self) -> Vec<Ipv4> {
-        let mut v: Vec<Ipv4> = self.hosts_read().keys().map(|&ip| Ipv4(ip)).collect();
+        let mut v: Vec<Ipv4> = read(&self.shared.hosts)
+            .keys()
+            .map(|&ip| Ipv4(ip))
+            .collect();
         v.sort();
         v
     }
@@ -404,37 +478,16 @@ impl Internet {
     /// Predicts what [`Internet::connect`] to `(to, port)` would do,
     /// without blocking, clock cost, or side effects.
     ///
-    /// Mirrors `connect`'s decision tree — bound table first, then the
+    /// Shares `connect`'s route decision — bound table first, then the
     /// lazy resolver — but never materializes a host and never touches
     /// the clock: it is safe to call once per admitted probe from the
     /// event loop. See [`ConnectPoll`] for how the answer (and its
     /// latency hint) is meant to be used.
     pub fn poll_connect(&self, to: Ipv4, port: u16) -> ConnectPoll {
-        let base = 'route: {
-            {
-                let hosts = self.hosts_read();
-                if let Some(host) = hosts.get(&to.0) {
-                    let rtt_micros = Some(host.rtt_micros);
-                    break 'route if host.services.contains_key(&port) {
-                        ConnectPoll::Listening { rtt_micros }
-                    } else {
-                        ConnectPoll::Refused { rtt_micros }
-                    };
-                }
-            }
-            if let Some(resolver) = self.resolver() {
-                if resolver.host_exists(to) {
-                    break 'route if resolver.has_listener(to, port) {
-                        ConnectPoll::Listening { rtt_micros: None }
-                    } else {
-                        ConnectPoll::Refused { rtt_micros: None }
-                    };
-                }
-            }
-            return ConnectPoll::NoRoute {
-                timeout_micros: SYN_TIMEOUT_MICROS,
-            };
-        };
+        let base = self.route(self.layout().as_deref(), to, port);
+        if let ConnectPoll::NoRoute { .. } = base {
+            return base;
+        }
         // Routable: overlay the first attempt's middlebox fate, exactly
         // as the blocking `connect` (attempt 0) will resolve it.
         let profile = self.profile_of(to);
@@ -447,48 +500,40 @@ impl Internet {
                 timeout_micros: SYN_TIMEOUT_MICROS,
             },
             ConnectFate::Throttled { penalty_micros } => ConnectPoll::Throttled { penalty_micros },
-            ConnectFate::Tarpit(tarpit) => match base {
-                // A silent tarpit (no dribble) fails the connect after
-                // RTT + stall; a dribbling one hands out a stream like
-                // any listener — it just never says anything useful.
-                ConnectPoll::Listening { rtt_micros } if tarpit.dribble_bytes == 0 => {
-                    ConnectPoll::Stalled {
-                        micros: rtt_micros.map_or(DEFAULT_RTT_HINT_MICROS, u64::from)
-                            + tarpit.stall_micros,
-                    }
+            // A silent tarpit (no dribble) fails the connect after RTT +
+            // stall; a dribbling one hands out a stream like any
+            // listener — it just never says anything useful.
+            ConnectFate::Tarpit(tarpit) if base.will_accept() && tarpit.dribble_bytes == 0 => {
+                ConnectPoll::Stalled {
+                    micros: base.latency_hint_micros() + tarpit.stall_micros,
                 }
-                other => other,
-            },
+            }
+            ConnectFate::Tarpit(_) => base,
         }
     }
 
-    /// Route resolution, the fault-free half of a connect: what the
-    /// bound table (after lazy materialization) says lives at
-    /// `(to, port)`. A table miss here is *routing* truth — "nothing
-    /// answers" — and is deliberately kept apart from injected faults,
-    /// which make a perfectly routable host look dead for one attempt.
-    fn route_of(&self, to: Ipv4, port: u16) -> Route {
-        // One materialization pass: a table miss may just mean "not
-        // built yet". The hosts lock is never held across the resolver
-        // call — materialize() needs the write side to bind.
-        for pass in 0..2 {
-            let hit = {
-                let hosts = self.hosts_read();
-                hosts
-                    .get(&to.0)
-                    .map(|host| (host.services.contains_key(&port), host.rtt_micros))
-            };
-            match hit {
-                Some((true, rtt_micros)) => return Route::Listening { rtt_micros },
-                Some((false, rtt_micros)) => return Route::Refused { rtt_micros },
-                None if pass == 0 => match self.resolver() {
-                    Some(r) if r.host_exists(to) => r.materialize(self, to),
-                    _ => return Route::Dead,
-                },
-                None => return Route::Dead,
+    /// Route resolution, the fault-free half of a connect: `(listening,
+    /// rtt)` of the host bound at `to` (materialized first if only the
+    /// resolver knew it), or `None` when nothing answers — *routing*
+    /// truth, kept apart from injected faults.
+    fn bound_route(&self, to: Ipv4, port: u16) -> Option<(bool, u32)> {
+        let layout = self.layout();
+        for first_contact in [true, false] {
+            let poll = self.route(layout.as_deref(), to, port);
+            match poll {
+                ConnectPoll::Listening { rtt_micros } | ConnectPoll::Refused { rtt_micros } => {
+                    match (rtt_micros, self.shared.resolver.get()) {
+                        (Some(rtt), _) => return Some((poll.will_accept(), rtt)),
+                        // Only the resolver knows the host. No hosts lock is
+                        // held here: materialize() needs the write side.
+                        (None, Some(resolver)) if first_contact => resolver.materialize(self, to),
+                        (None, _) => return None,
+                    }
+                }
+                _ => return None,
             }
         }
-        Route::Dead
+        None
     }
 
     /// Opens a TCP-like connection, applying one RTT of virtual latency
@@ -501,12 +546,7 @@ impl Internet {
     /// the now-bound table. Materialization itself is free on the
     /// virtual clock — only the handshake RTT is charged, exactly as in
     /// an eagerly built world.
-    pub fn connect(
-        &self,
-        from: Ipv4,
-        to: Ipv4,
-        port: u16,
-    ) -> Result<crate::stream::TcpStreamSim, ConnectError> {
+    pub fn connect(&self, from: Ipv4, to: Ipv4, port: u16) -> Result<TcpStreamSim, ConnectError> {
         self.connect_attempt(from, to, port, 0)
     }
 
@@ -527,103 +567,62 @@ impl Internet {
         to: Ipv4,
         port: u16,
         attempt: u32,
-    ) -> Result<crate::stream::TcpStreamSim, ConnectError> {
-        let route = self.route_of(to, port);
-        if matches!(route, Route::Dead) {
+    ) -> Result<TcpStreamSim, ConnectError> {
+        let Some((listening, rtt_micros)) = self.bound_route(to, port) else {
             // SYN timeout: a scanner waits ~1s for silence. No profile
             // consulted — faulting a host that does not exist would
             // conflate routing truth with injected hostility.
-            self.clock.advance_micros(SYN_TIMEOUT_MICROS);
-            return Err(ConnectError::NoRoute);
-        }
+            return self.fail_after(SYN_TIMEOUT_MICROS, ConnectError::NoRoute);
+        };
+        let rtt = u64::from(rtt_micros);
         let profile = self.profile_of(to);
         match profile.connect_fate(attempt) {
             ConnectFate::Deliver => {}
+            // Indistinguishable from a dead address on the wire.
             ConnectFate::SynLost => {
-                // Indistinguishable from a dead address on the wire.
-                self.clock.advance_micros(SYN_TIMEOUT_MICROS);
-                return Err(ConnectError::NoRoute);
+                return self.fail_after(SYN_TIMEOUT_MICROS, ConnectError::NoRoute)
             }
             ConnectFate::Throttled { penalty_micros } => {
-                self.clock.advance_micros(penalty_micros);
-                return Err(ConnectError::Throttled);
+                return self.fail_after(penalty_micros, ConnectError::Throttled)
             }
-            ConnectFate::Tarpit(tarpit) => {
-                if let Route::Listening { rtt_micros } = route {
-                    if tarpit.dribble_bytes == 0 {
-                        self.clock
-                            .advance_micros(u64::from(rtt_micros) + tarpit.stall_micros);
-                        return Err(ConnectError::Stalled);
-                    }
-                    self.clock.advance_micros(u64::from(rtt_micros));
-                    return Ok(crate::stream::TcpStreamSim::new(
-                        self.clock.clone(),
-                        Box::new(TarpitConn::new(self.clock.clone(), tarpit)),
-                        rtt_micros,
-                    ));
-                }
-                // Nothing listens behind the tarpit: plain RST below.
+            ConnectFate::Tarpit(tarpit) if listening && tarpit.dribble_bytes == 0 => {
+                return self.fail_after(rtt + tarpit.stall_micros, ConnectError::Stalled)
             }
+            ConnectFate::Tarpit(tarpit) if listening => {
+                self.clock.advance_micros(rtt);
+                let conn = Box::new(TarpitConn::new(self.clock.clone(), tarpit));
+                return Ok(TcpStreamSim::new(self.clock.clone(), conn, rtt_micros));
+            }
+            // Nothing listens behind the tarpit: plain RST below.
+            ConnectFate::Tarpit(_) => {}
         }
-        match route {
-            Route::Listening { rtt_micros } => {
-                let conn = {
-                    let hosts = self.hosts_read();
-                    hosts
-                        .get(&to.0)
-                        .and_then(|host| host.services.get(&port))
-                        .map(|service| service.open_connection(from))
-                };
-                match conn {
-                    Some(conn) => {
-                        let conn: Box<dyn Connection> = if profile.cut_after_exchanges > 0 {
-                            Box::new(CutConn::new(conn, profile.cut_after_exchanges))
-                        } else {
-                            conn
-                        };
-                        self.clock.advance_micros(u64::from(rtt_micros));
-                        Ok(crate::stream::TcpStreamSim::new(
-                            self.clock.clone(),
-                            conn,
-                            rtt_micros,
-                        ))
-                    }
-                    // The host vanished between route resolution and
-                    // accept (world churn): same as a dead address.
-                    None => {
-                        self.clock.advance_micros(SYN_TIMEOUT_MICROS);
-                        Err(ConnectError::NoRoute)
-                    }
-                }
-            }
-            Route::Refused { rtt_micros } => {
-                // RST comes back after one RTT.
-                self.clock.advance_micros(u64::from(rtt_micros));
-                Err(ConnectError::Refused)
-            }
-            Route::Dead => {
-                self.clock.advance_micros(SYN_TIMEOUT_MICROS);
-                Err(ConnectError::NoRoute)
-            }
+        if !listening {
+            // RST comes back after one RTT.
+            return self.fail_after(rtt, ConnectError::Refused);
         }
+        let conn = read(&self.shared.hosts)
+            .get(&to.0)
+            .and_then(|host| host.services.get(&port))
+            .map(|service| service.open_connection(from));
+        let Some(conn) = conn else {
+            // The host vanished between route resolution and accept
+            // (world churn): same as a dead address.
+            return self.fail_after(SYN_TIMEOUT_MICROS, ConnectError::NoRoute);
+        };
+        let conn: Box<dyn Connection> = if profile.cut_after_exchanges > 0 {
+            Box::new(CutConn::new(conn, profile.cut_after_exchanges))
+        } else {
+            conn
+        };
+        self.clock.advance_micros(rtt);
+        Ok(TcpStreamSim::new(self.clock.clone(), conn, rtt_micros))
     }
-}
 
-/// What [`Internet::route_of`] concluded about `(addr, port)` before
-/// any middlebox fault is applied.
-enum Route {
-    /// A service is bound: a fault-free connect succeeds after one RTT.
-    Listening {
-        /// Round-trip time of the bound host.
-        rtt_micros: u32,
-    },
-    /// The host is up but the port is closed: RST after one RTT.
-    Refused {
-        /// Round-trip time of the bound host.
-        rtt_micros: u32,
-    },
-    /// Nothing answers (and the resolver disowns the address).
-    Dead,
+    /// A failed connect that cost `micros` of this view's clock.
+    fn fail_after(&self, micros: u64, err: ConnectError) -> Result<TcpStreamSim, ConnectError> {
+        self.clock.advance_micros(micros);
+        Err(err)
+    }
 }
 
 #[cfg(test)]
@@ -705,35 +704,52 @@ mod tests {
         assert_eq!(net.host_count(), 0);
     }
 
+    /// A one-host layout: `.0` listens on 4840 only.
+    struct OneHost(Ipv4);
+    impl HostLayout for OneHost {
+        fn host_exists(&self, addr: Ipv4) -> bool {
+            addr == self.0
+        }
+        fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
+            addr == self.0 && port == 4840
+        }
+    }
+
+    /// Resolves `target` lazily: an echo host bound on first contact.
+    struct LazyEcho {
+        target: Ipv4,
+        materialized: std::sync::atomic::AtomicUsize,
+    }
+    impl LazyEcho {
+        fn new(target: Ipv4) -> Arc<LazyEcho> {
+            Arc::new(LazyEcho {
+                target,
+                materialized: Default::default(),
+            })
+        }
+        fn materialized(&self) -> usize {
+            self.materialized.load(Ordering::SeqCst)
+        }
+    }
+    impl HostResolver for LazyEcho {
+        fn layout(&self) -> Option<Arc<dyn HostLayout>> {
+            Some(Arc::new(OneHost(self.target)))
+        }
+        fn materialize(&self, net: &Internet, addr: Ipv4) {
+            self.materialized.fetch_add(1, Ordering::SeqCst);
+            net.install_host(
+                addr,
+                5_000,
+                vec![(4840, Arc::new(Echo) as Arc<dyn Service>)],
+            );
+        }
+    }
+
     #[test]
     fn resolver_backs_table_misses_and_materializes_on_connect() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        struct LazyEcho {
-            target: Ipv4,
-            materialized: AtomicUsize,
-        }
-        impl HostResolver for LazyEcho {
-            fn host_exists(&self, addr: Ipv4) -> bool {
-                addr == self.target
-            }
-            fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
-                addr == self.target && port == 4840
-            }
-            fn materialize(&self, net: &Internet, addr: Ipv4) {
-                self.materialized.fetch_add(1, Ordering::SeqCst);
-                net.install_host(
-                    addr,
-                    5_000,
-                    vec![(4840, Arc::new(Echo) as Arc<dyn Service>)],
-                );
-            }
-        }
         let net = Internet::new(VirtualClock::starting_at(0));
         let target = Ipv4::new(10, 9, 9, 9);
-        let resolver = Arc::new(LazyEcho {
-            target,
-            materialized: AtomicUsize::new(0),
-        });
+        let resolver = LazyEcho::new(target);
         net.set_resolver(resolver.clone());
 
         // SYN probes answer from the predicate without materializing.
@@ -742,17 +758,17 @@ mod tests {
         assert!(net.host_exists(target));
         assert!(!net.host_exists(Ipv4::new(10, 9, 9, 8)));
         assert_eq!(net.host_count(), 0);
-        assert_eq!(resolver.materialized.load(Ordering::SeqCst), 0);
+        assert_eq!(resolver.materialized(), 0);
 
         // First contact materializes exactly once; afterwards the bound
         // table answers directly.
         let mut s = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
         s.send(b"hi").unwrap();
         assert_eq!(s.recv().unwrap(), Some(b"hi".to_vec()));
-        assert_eq!(resolver.materialized.load(Ordering::SeqCst), 1);
+        assert_eq!(resolver.materialized(), 1);
         assert_eq!(net.host_count(), 1);
         let _ = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
-        assert_eq!(resolver.materialized.load(Ordering::SeqCst), 1);
+        assert_eq!(resolver.materialized(), 1);
 
         // Clock views share the resolver.
         let view = net.with_clock(VirtualClock::starting_at(0));
@@ -825,27 +841,9 @@ mod tests {
 
     #[test]
     fn poll_connect_answers_from_resolver_without_materializing() {
-        struct LazyEcho {
-            target: Ipv4,
-        }
-        impl HostResolver for LazyEcho {
-            fn host_exists(&self, addr: Ipv4) -> bool {
-                addr == self.target
-            }
-            fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
-                addr == self.target && port == 4840
-            }
-            fn materialize(&self, net: &Internet, addr: Ipv4) {
-                net.install_host(
-                    addr,
-                    5_000,
-                    vec![(4840, Arc::new(Echo) as Arc<dyn Service>)],
-                );
-            }
-        }
         let net = Internet::new(VirtualClock::starting_at(0));
         let target = Ipv4::new(10, 9, 9, 9);
-        net.set_resolver(Arc::new(LazyEcho { target }));
+        net.set_resolver(LazyEcho::new(target));
 
         // Known to the resolver, not yet bound: Listening, RTT unknown,
         // and *nothing* materializes.
@@ -1078,6 +1076,57 @@ mod tests {
             assert!(net.connect_attempt(from, ip, 4840, 0).is_err());
             assert_eq!(clock.now_micros() - before, poll.latency_hint_micros());
         }
+    }
+
+    #[test]
+    fn ever_bound_bits_only_send_queries_to_the_table() {
+        let net = Internet::new(VirtualClock::starting_at(0));
+        let target = Ipv4::new(10, 9, 9, 9);
+        let resolver = LazyEcho::new(target);
+        net.set_resolver(resolver.clone());
+        let snapshot = net.occupancy();
+        assert!(snapshot.has_listener(target, 4840));
+
+        // Materialize, then drop the bound host again: its filter bit
+        // stays set, the table misses, and the layout still answers.
+        let _ = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
+        net.remove_host(target);
+        assert_eq!(net.host_count(), 0);
+        assert!(net.has_listener(target, 4840));
+        assert!(snapshot.has_listener(target, 4840));
+        assert!(!snapshot.has_listener(target, 80));
+
+        // An eagerly bound host the layout does not know is gone for
+        // good once removed.
+        let eager = Ipv4::new(10, 9, 9, 10);
+        net.add_host(eager, 1_000);
+        net.bind(eager, 4840, Arc::new(Echo));
+        assert!(snapshot.has_listener(eager, 4840));
+        net.remove_host(eager);
+        assert!(!snapshot.has_listener(eager, 4840));
+        assert!(!net.host_exists(eager));
+
+        // A re-contact materializes the resolver host once more.
+        let _ = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
+        assert_eq!(resolver.materialized(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "host resolver is already installed")]
+    fn second_resolver_install_panics() {
+        let net = Internet::new(VirtualClock::starting_at(0));
+        net.set_resolver(LazyEcho::new(Ipv4::new(10, 0, 0, 1)));
+        net.with_clock(VirtualClock::starting_at(0))
+            .set_resolver(LazyEcho::new(Ipv4::new(10, 0, 0, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "profile provider is already installed")]
+    fn second_profile_install_panics() {
+        use crate::faults::StaticProfiles;
+        let net = Internet::new(VirtualClock::starting_at(0));
+        net.set_profiles(Arc::new(StaticProfiles::new()));
+        net.set_profiles(Arc::new(StaticProfiles::new()));
     }
 
     #[test]

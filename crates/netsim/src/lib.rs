@@ -35,11 +35,11 @@ pub use faults::{
     TarpitProfile,
 };
 pub use internet::{
-    ConnectError, ConnectPoll, Connection, ConnectionOutput, HostResolver, Internet, Service,
-    SYN_TIMEOUT_MICROS,
+    ConnectError, ConnectPoll, Connection, ConnectionOutput, HostLayout, HostResolver, Internet,
+    Occupancy, Service, SYN_TIMEOUT_MICROS,
 };
 pub use stream::{ByteStream, ConnectionStats, LoopbackStream, StreamError, TcpStreamSim};
 pub use sweep::{
-    ipv4_permutation, CycleWalk, PermutedRange, SweepConfig, SweepResult, SweepStats, SweepWalk,
-    SynScanner,
+    ipv4_permutation, CycleWalk, PermutedRange, SweepChunks, SweepConfig, SweepResult, SweepStats,
+    SweepWalk, SynScanner,
 };

@@ -11,8 +11,9 @@
 //! driver with blocklist and probe-rate accounting.
 
 use crate::cidr::{Blocklist, Cidr, Ipv4};
-use crate::internet::Internet;
+use crate::internet::{Internet, Occupancy};
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The zmap prime: smallest prime larger than 2³².
 pub const ZMAP_PRIME: u64 = 4_294_967_311;
@@ -123,6 +124,20 @@ impl CycleWalk {
             },
         }
     }
+
+    /// The consecutive steps `lo..hi` of the *full* walk (clamped to its
+    /// order), as `(step, element)` pairs: begins at `start·g^lo`, so the
+    /// setup costs O(log lo) multiplications.
+    pub fn steps(&self, lo: u64, hi: u64) -> StridedWalk {
+        StridedWalk {
+            p: self.p,
+            generator: self.generator,
+            current: mul_mod(self.start, pow_mod(self.generator, lo, self.p), self.p),
+            step: lo,
+            stride: 1,
+            remaining: hi.min(self.p - 1).saturating_sub(lo),
+        }
+    }
 }
 
 /// Every `stride`-th element of a [`CycleWalk`], starting at step
@@ -222,6 +237,22 @@ impl PermutedRange {
             size: self.size,
         }
     }
+
+    /// The walk steps `lo..hi` of this permutation (see
+    /// [`CycleWalk::steps`]), out-of-range elements skipped. Same
+    /// freshly-built precondition as [`Self::shard`].
+    pub fn steps(&self, lo: u64, hi: u64) -> PermutedShard {
+        PermutedShard {
+            walk: self.walk.steps(lo, hi),
+            size: self.size,
+        }
+    }
+
+    /// Number of walk steps (the underlying group order; at least the
+    /// range size, since out-of-range steps are skipped).
+    pub fn order(&self) -> u64 {
+        self.walk.order()
+    }
 }
 
 /// A shard of a [`PermutedRange`] (see [`PermutedRange::shard`]):
@@ -283,12 +314,72 @@ impl SweepWalk {
     pub fn new<R: Rng + ?Sized>(universe: &[Cidr], rng: &mut R, shard: u64, shards: u64) -> Self {
         assert!(shards > 0, "at least one shard");
         assert!(shard < shards, "shard index within shard count");
-        let blocks: Vec<(Ipv4, u64)> = universe.iter().map(|c| (c.base, c.size())).collect();
-        let total: u64 = blocks.iter().map(|&(_, size)| size).sum();
+        let (range, blocks) = permuted_universe(universe, rng);
         SweepWalk {
-            shard: (total > 0).then(|| PermutedRange::new(total, rng).shard(shard, shards)),
+            shard: range.map(|range| range.shard(shard, shards)),
             blocks,
         }
+    }
+}
+
+/// The universe's blocks and, unless it is empty, the permutation of
+/// their concatenated index space (a function of `rng`'s state alone).
+fn permuted_universe<R: Rng + ?Sized>(
+    universe: &[Cidr],
+    rng: &mut R,
+) -> (Option<PermutedRange>, Vec<(Ipv4, u64)>) {
+    let blocks: Vec<(Ipv4, u64)> = universe.iter().map(|c| (c.base, c.size())).collect();
+    let total: u64 = blocks.iter().map(|&(_, size)| size).sum();
+    ((total > 0).then(|| PermutedRange::new(total, rng)), blocks)
+}
+
+/// A [`SweepChunks`] cuts the walk into about this many chunks, so the
+/// last one claimed is a small share of the sweep...
+const SWEEP_CHUNKS: u64 = 256;
+
+/// ...but none shorter than this many walk steps, so a claim's setup
+/// (one modular power) stays a small share of the chunk's work.
+const MIN_CHUNK_STEPS: u64 = 256;
+
+/// The walk of a whole sweep, cut into chunks of consecutive walk steps
+/// that sweep threads claim one at a time ([`SynScanner::sweep_chunks`]).
+///
+/// A thread on a slower or busier core claims fewer chunks, so the sweep
+/// ends when the work does instead of when the slowest of N fixed
+/// shares does. Claims hand out chunks in increasing step order, so each
+/// thread's addresses still come out sorted by walk step and N threads
+/// merge back into exactly the single-shard order. The only shared
+/// write is one atomic add per chunk.
+#[derive(Debug)]
+pub struct SweepChunks {
+    range: Option<PermutedRange>,
+    blocks: Vec<(Ipv4, u64)>,
+    chunk: u64,
+    next: AtomicU64,
+}
+
+impl SweepChunks {
+    /// Builds the chunked walk over `universe`, deriving the permutation
+    /// from `rng` exactly as [`SweepWalk::new`] does.
+    pub fn new<R: Rng + ?Sized>(universe: &[Cidr], rng: &mut R) -> Self {
+        let (range, blocks) = permuted_universe(universe, rng);
+        let order = range.as_ref().map_or(0, PermutedRange::order);
+        SweepChunks {
+            range,
+            blocks,
+            chunk: order.div_ceil(SWEEP_CHUNKS).max(MIN_CHUNK_STEPS),
+            next: AtomicU64::new(0),
+        }
+    }
+
+    /// The next unclaimed chunk as a walk, or `None` once all are taken.
+    pub fn claim(&self) -> Option<SweepWalk> {
+        let range = self.range.as_ref()?;
+        let lo = self.next.fetch_add(self.chunk, Ordering::Relaxed);
+        (lo < range.order()).then(|| SweepWalk {
+            shard: Some(range.steps(lo, lo + self.chunk)),
+            blocks: self.blocks.clone(),
+        })
     }
 }
 
@@ -444,19 +535,50 @@ impl<'a> SynScanner<'a> {
     {
         // Concatenate blocks into one index space, then walk a
         // permutation of it (zmap's randomization property: no subnet is
-        // hammered in a burst). The walk itself is shared with the
-        // event-loop engine via `SweepWalk`; only the classification
-        // below (blocklist → probe → listener) lives here, and any
-        // second driver must replicate it in exactly this order for the
-        // stats to stay byte-identical.
+        // hammered in a burst).
+        let walk = SweepWalk::new(universe, rng, shard, shards);
+        self.classify(walk, &self.internet.occupancy(), &mut on_responsive)
+    }
+
+    /// A sweep thread's share of `chunks`: claims chunks until none are
+    /// left and sweeps each like [`Self::sweep_shard`] sweeps its shard.
+    /// Every thread of one sweep passes the same `chunks`; their stats
+    /// sum to the single-shard totals, and each thread's walk steps
+    /// increase, so N threads merge back into discovery order. Clock-
+    /// neutral, like [`Self::sweep_shard`].
+    pub fn sweep_chunks<F>(&self, chunks: &SweepChunks, mut on_responsive: F) -> SweepStats
+    where
+        F: FnMut(u64, Ipv4),
+    {
+        let occupancy = self.internet.occupancy();
         let mut stats = SweepStats::default();
-        for (pos, addr) in SweepWalk::new(universe, rng, shard, shards) {
+        while let Some(walk) = chunks.claim() {
+            stats = stats + self.classify(walk, &occupancy, &mut on_responsive);
+        }
+        stats
+    }
+
+    /// The per-address classification (blocklist → probe → listener).
+    /// The walk itself is shared with the event-loop engine via
+    /// `SweepWalk`; any second driver must replicate this classification
+    /// in exactly this order for the stats to stay byte-identical.
+    fn classify<F>(
+        &self,
+        walk: SweepWalk,
+        occupancy: &Occupancy,
+        on_responsive: &mut F,
+    ) -> SweepStats
+    where
+        F: FnMut(u64, Ipv4),
+    {
+        let mut stats = SweepStats::default();
+        for (pos, addr) in walk {
             if self.blocklist.contains(addr) {
                 stats.blocklisted += 1;
                 continue;
             }
             stats.probes_sent += 1;
-            if self.internet.has_listener(addr, self.config.port) {
+            if occupancy.has_listener(addr, self.config.port) {
                 stats.responsive += 1;
                 on_responsive(pos, addr);
             }
@@ -754,6 +876,74 @@ mod tests {
             assert_eq!(stats.blocklisted, full.blocklisted, "shards={shards}");
             assert_eq!(stats.responsive, full.responsive, "shards={shards}");
         }
+    }
+
+    #[test]
+    fn walk_steps_are_a_slice_of_the_full_walk() {
+        for p in [3u64, 11, 101, 65_537] {
+            let walk = CycleWalk::new(p, &mut StdRng::seed_from_u64(p));
+            let full: Vec<u64> = walk.clone().collect();
+            for (lo, hi) in [(0, 1), (0, p), (1, p / 2 + 1), (p / 3, p + 40), (p, p + 5)] {
+                let got: Vec<(u64, u64)> = walk.steps(lo, hi).collect();
+                let want: Vec<(u64, u64)> = (lo..hi.min(p - 1))
+                    .map(|step| (step, full[step as usize]))
+                    .collect();
+                assert_eq!(got, want, "p={p} lo={lo} hi={hi}");
+            }
+        }
+    }
+
+    #[test]
+    fn claimed_chunks_partition_the_sweep_in_step_order() {
+        let net = Internet::new(VirtualClock::starting_at(0));
+        let a: Cidr = "10.8.0.0/20".parse().unwrap();
+        let b: Cidr = "172.30.0.0/26".parse().unwrap();
+        for i in (0..a.size() as u32).step_by(37) {
+            let addr = Ipv4(a.base.0 + i);
+            net.add_host(addr, 1000);
+            net.bind(addr, 4840, Arc::new(NopService));
+        }
+        let mut blocklist = Blocklist::new();
+        blocklist.add_str("10.8.2.0/23").unwrap();
+        let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
+
+        let mut reference = Vec::new();
+        let full =
+            scanner.sweep_shard(&[a, b], &mut StdRng::seed_from_u64(5), 0, 1, |pos, addr| {
+                reference.push((pos, addr))
+            });
+        for threads in [1usize, 2, 3, 8] {
+            let chunks = SweepChunks::new(&[a, b], &mut StdRng::seed_from_u64(5));
+            let per_thread: Vec<(SweepStats, Vec<(u64, Ipv4)>)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut seen = Vec::new();
+                            let stats =
+                                scanner.sweep_chunks(&chunks, |pos, addr| seen.push((pos, addr)));
+                            (stats, seen)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(chunks.claim().is_none(), "threads={threads}");
+            let mut stats = SweepStats::default();
+            let mut merged = Vec::new();
+            for (thread_stats, seen) in per_thread {
+                assert!(
+                    seen.windows(2).all(|w| w[0].0 < w[1].0),
+                    "threads={threads}"
+                );
+                stats = stats + thread_stats;
+                merged.extend(seen);
+            }
+            merged.sort_by_key(|&(pos, _)| pos);
+            assert_eq!(merged, reference, "threads={threads}");
+            assert_eq!(stats, full, "threads={threads}");
+        }
+        let empty = SweepChunks::new(&[], &mut StdRng::seed_from_u64(5));
+        assert!(empty.claim().is_none());
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! materializes only on first probe contact.
 //!
 //! [`WorldCore`] holds one [`HostFate`] per roster id — a few dozen
-//! bytes of class/address/liveness/event-log state — plus a memo of
-//! fully built [`HostDeployment`]s. The eager path materializes every
-//! fate up front (exactly the pre-lazy behavior); the lazy path
-//! registers a [`netsim::HostResolver`] so the sweep answers occupancy
-//! from the seeded predicate ([`crate::spec::WorldSpec`] week 0, an
-//! overlay map for churned addresses afterwards) and hosts are built
-//! the moment a connection first reaches them. Because every
+//! bytes of class/address/event-log state — a published [`Layout`]
+//! (who occupies which address: the seeded [`crate::spec::WorldSpec`]
+//! permutation, an overlay map for churned addresses, each id's
+//! liveness and port) and a memo of fully built [`HostDeployment`]s.
+//! The eager path materializes every fate up front (exactly the
+//! pre-lazy behavior); the lazy path registers a
+//! [`netsim::HostResolver`] whose snapshots of the layout answer the
+//! sweep's occupancy checks without a lock, and hosts are built the
+//! moment a connection first reaches them. Because every
 //! RNG-derived field is a pure function of `(seed, host id, week)`,
 //! both paths produce byte-identical worlds — the equivalence tests in
 //! the scanner crate diff full record streams to prove it.
@@ -29,12 +31,13 @@ use crate::{
     HostClass, HostDeployment, Population, PopulationConfig, SharedSecrets, Synthesizer,
     ACTUAL_KEY_BITS,
 };
-use netsim::{Cidr, HostResolver, Internet, Ipv4};
+use netsim::{Cidr, HostLayout, HostResolver, Internet, Ipv4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 // ua-lint: allow(unordered-iteration) -- maps/sets here are key-lookup only; every iterated collection is a Vec or BTreeSet
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, RwLock, Weak};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use ua_addrspace::ids;
 use ua_crypto::{CertificateBuilder, DistinguishedName, HashAlgorithm, RsaPrivateKey};
 use ua_server::{EndpointConfig, UserAccount};
@@ -165,7 +168,8 @@ enum MaterialEvent {
 }
 
 /// The cheap per-host state the engine keeps for *every* host, built
-/// or not: O(events) memory, no crypto material.
+/// or not: O(events) memory, no crypto material. Liveness and port
+/// live in the [`Layout`].
 #[derive(Debug, Clone)]
 struct HostFate {
     class: HostClass,
@@ -174,8 +178,6 @@ struct HostFate {
     initial_address: Ipv4,
     /// Current address.
     address: Ipv4,
-    port: u16,
-    alive: bool,
     /// Current software version (decisions need it; material replay
     /// re-derives it from events).
     version: String,
@@ -189,56 +191,147 @@ struct HostFate {
     events: Vec<MaterialEvent>,
 }
 
-struct CoreState {
-    fates: Vec<HostFate>,
-    /// Materialized hosts by id (the memo behind the resolver).
-    // ua-lint: allow(unordered-iteration) -- keyed memo: accessed by id lookup, never iterated
-    deps: HashMap<u64, HostDeployment>,
+/// A roster id's entry in the [`Layout`].
+#[derive(Debug, Clone, Copy)]
+struct HostSlot {
+    port: u16,
+    alive: bool,
+}
+
+/// Who occupies which address: the week-0 permutation, the overlay of
+/// churned addresses, and each host id's liveness and port. Published by
+/// `WorldCore::new`, republished whole by `evolve_week` and never
+/// mutated once published — it is the resolver's lock-free snapshot.
+#[derive(Clone)]
+struct Layout {
+    spec: Arc<WorldSpec>,
     /// Address overrides on top of the week-0 permutation: only
     /// churned addresses appear here, so lookup stays O(1) with
     /// O(churn) memory.
     // ua-lint: allow(unordered-iteration) -- O(1) occupancy lookup by address, never iterated
     overlay: HashMap<u32, Occupancy>,
+    hosts: Vec<HostSlot>,
+    /// Cleared when the world is dropped: snapshots that outlive it
+    /// answer "nothing there".
+    live: Arc<AtomicBool>,
+}
+
+impl Layout {
+    /// The living host occupying `addr`, if any — overlay first, then
+    /// the week-0 permutation. O(1), no allocation, no lock.
+    fn host_at(&self, addr: Ipv4) -> Option<u64> {
+        match self.overlay.get(&addr.0) {
+            Some(Occupancy::Occupied(id)) => Some(*id),
+            Some(Occupancy::Vacated) => None,
+            None => self.spec.host_at(addr).filter(|&id| self.is_alive(id)),
+        }
+    }
+
+    fn is_alive(&self, id: u64) -> bool {
+        self.hosts[id as usize].alive
+    }
+
+    fn port_of(&self, id: u64) -> u16 {
+        self.hosts[id as usize].port
+    }
+
+    /// Ids of the living hosts, roster order.
+    fn alive_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.hosts.len() as u64).filter(|&id| self.is_alive(id))
+    }
+}
+
+impl HostLayout for Layout {
+    fn host_exists(&self, addr: Ipv4) -> bool {
+        self.live.load(Ordering::Acquire) && self.host_at(addr).is_some()
+    }
+
+    fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
+        self.live.load(Ordering::Acquire)
+            && self
+                .host_at(addr)
+                .is_some_and(|id| self.port_of(id) == port)
+    }
+}
+
+/// The fate history behind the layout; only `evolve_week` changes it.
+struct History {
+    fates: Vec<HostFate>,
     /// Every address ever allocated (moves/arrivals must not recycle).
     // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
     used: HashSet<u32>,
     /// Epoch of each week seen so far (`week_nows[0]` = deployment).
     week_nows: Vec<i64>,
     arrival_cursor: usize,
+}
+
+/// The materialization memo and its stats.
+struct CoreState {
+    /// Materialized hosts by id (the memo behind the resolver).
+    // ua-lint: allow(unordered-iteration) -- keyed memo: accessed by id lookup, never iterated
+    deps: HashMap<u64, HostDeployment>,
     stats: MaterializationStats,
 }
 
+/// Lock-poisoning policy, centralized: a poisoned lock means a probe
+/// worker panicked mid-materialization and the world may be
+/// half-updated — propagating the panic is the only honest answer.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    // ua-lint: allow(panic-hygiene) -- poisoned world state: a worker panicked; propagate it
+    lock.read().expect("poisoned: a worker panicked")
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    // ua-lint: allow(panic-hygiene) -- poisoned world state: a worker panicked; propagate it
+    lock.write().expect("poisoned: a worker panicked")
+}
+
 /// The engine shared by eager and lazy worlds. See the module docs.
+///
+/// Lock order: `history`, then `state`, then `layout`. Only
+/// `evolve_week` holds more than one at a time.
 pub(crate) struct WorldCore {
     net: Internet,
     seed: u64,
     sweep_port: u16,
     universe: Vec<Cidr>,
-    spec: WorldSpec,
     shared: SharedSecrets,
     lazy: bool,
+    history: RwLock<History>,
     state: RwLock<CoreState>,
+    layout: RwLock<Arc<Layout>>,
+    live: Arc<AtomicBool>,
+}
+
+impl Drop for WorldCore {
+    fn drop(&mut self) {
+        // Release pairs with the Acquire loads in `Layout`'s queries.
+        self.live.store(false, Ordering::Release);
+    }
 }
 
 impl WorldCore {
     pub(crate) fn new(net: &Internet, cfg: &PopulationConfig, lazy: bool) -> Arc<WorldCore> {
         let now = net.clock().now_unix_seconds();
         setup_registry(net, cfg);
-        let spec = WorldSpec::new(cfg);
+        let spec = Arc::new(WorldSpec::new(cfg));
         let shared = SharedSecrets::generate(&mut Synthesizer::for_shared(cfg.seed), now);
         let mut fates = Vec::with_capacity(spec.len() as usize);
+        let mut hosts = Vec::with_capacity(spec.len() as usize);
         // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
         let mut used = HashSet::new();
         for id in 0..spec.len() {
             let class = spec.class_of(id);
             let address = spec.address_of(id);
             used.insert(address.0);
+            hosts.push(HostSlot {
+                port: spec.port_of(id),
+                alive: true,
+            });
             fates.push(HostFate {
                 class,
                 initial_address: address,
                 address,
-                port: spec.port_of(id),
-                alive: true,
                 version: initial_version(cfg.seed, id),
                 has_cert: class_has_certificate(class),
                 has_none: class_offers_none(class),
@@ -248,25 +341,33 @@ impl WorldCore {
                 events: Vec::new(),
             });
         }
+        let live = Arc::new(AtomicBool::new(true));
         let core = Arc::new(WorldCore {
             net: net.clone(),
             seed: cfg.seed,
             sweep_port: cfg.port,
             universe: cfg.universe.clone(),
-            spec,
-            shared,
-            lazy,
-            state: RwLock::new(CoreState {
-                fates,
-                // ua-lint: allow(unordered-iteration) -- lookup-only map (see field docs)
-                deps: HashMap::new(),
+            layout: RwLock::new(Arc::new(Layout {
+                spec,
                 // ua-lint: allow(unordered-iteration) -- lookup-only map (see field docs)
                 overlay: HashMap::new(),
+                hosts,
+                live: Arc::clone(&live),
+            })),
+            shared,
+            lazy,
+            history: RwLock::new(History {
+                fates,
                 used,
                 week_nows: vec![now],
                 arrival_cursor: 0,
+            }),
+            state: RwLock::new(CoreState {
+                // ua-lint: allow(unordered-iteration) -- lookup-only map (see field docs)
+                deps: HashMap::new(),
                 stats: MaterializationStats::default(),
             }),
+            live,
         });
         if lazy {
             net.set_resolver(Arc::new(WorldResolver {
@@ -282,60 +383,35 @@ impl WorldCore {
         &self.net
     }
 
-    /// Lock-poisoning policy, centralized: a poisoned state lock means
-    /// a probe worker panicked mid-materialization and the world memo
-    /// may be half-updated — propagating the panic is the only honest
-    /// answer.
-    fn state_read(&self) -> std::sync::RwLockReadGuard<'_, CoreState> {
-        // ua-lint: allow(panic-hygiene) -- poisoned world state: a worker panicked; propagate it
-        self.state.read().unwrap()
-    }
-
-    fn state_write(&self) -> std::sync::RwLockWriteGuard<'_, CoreState> {
-        // ua-lint: allow(panic-hygiene) -- poisoned world state: a worker panicked; propagate it
-        self.state.write().unwrap()
+    /// The published layout (see [`Layout`]).
+    fn layout(&self) -> Arc<Layout> {
+        Arc::clone(&read(&self.layout))
     }
 
     pub(crate) fn stats(&self) -> MaterializationStats {
-        self.state_read().stats
+        read(&self.state).stats
     }
 
     pub(crate) fn roster_len(&self) -> usize {
-        self.state_read().fates.len()
+        self.layout().hosts.len()
     }
 
     pub(crate) fn alive_count(&self) -> usize {
-        let st = self.state_read();
-        st.fates.iter().filter(|f| f.alive).count()
-    }
-
-    /// The host currently occupying `addr`, if any — overlay first,
-    /// then the week-0 permutation. O(1), no allocation.
-    fn lookup(&self, addr: Ipv4) -> Option<u64> {
-        let st = self.state_read();
-        match st.overlay.get(&addr.0) {
-            Some(Occupancy::Occupied(id)) => Some(*id),
-            Some(Occupancy::Vacated) => None,
-            None => {
-                let id = self.spec.host_at(addr)?;
-                st.fates[id as usize].alive.then_some(id)
-            }
-        }
+        self.layout().alive_ids().count()
     }
 
     /// Ensures host `id` is built and bound. Builds run outside the
     /// state lock (they are pure, so a racing double-build is just
     /// discarded); bind + memo insert happen atomically under it.
     pub(crate) fn materialize(&self, id: u64) {
-        if self.state_read().deps.contains_key(&id) {
+        if read(&self.state).deps.contains_key(&id) {
             return;
         }
-        let (dep, keygens) = self.build_current(id);
-        let mut st = self.state_write();
+        let (dep, keygens, bind_now) = self.build_current(id);
+        let mut st = write(&self.state);
         if st.deps.contains_key(&id) {
             return;
         }
-        let bind_now = st.week_nows[st.fates[id as usize].last_rebind_week as usize];
         let bytes = estimate_resident_bytes(&dep);
         st.stats.hosts_materialized += 1;
         st.stats.keygen_count += keygens;
@@ -350,14 +426,16 @@ impl WorldCore {
 
     /// Builds host `id` in its *current* state: `build_host` at the
     /// deployment address/epoch, then every recorded event replayed in
-    /// order. Returns the deployment and the keygens performed.
-    fn build_current(&self, id: u64) -> (HostDeployment, u64) {
+    /// order. Returns the deployment, the keygens performed, and the
+    /// epoch its server core binds at.
+    fn build_current(&self, id: u64) -> (HostDeployment, u64, i64) {
+        let layout = self.layout();
         let (fate, referenced, week_nows) = {
-            let st = self.state_read();
+            let history = read(&self.history);
             (
-                st.fates[id as usize].clone(),
-                self.render_refs(&st, id),
-                st.week_nows.clone(),
+                history.fates[id as usize].clone(),
+                self.render_refs(&history, &layout, id),
+                history.week_nows.clone(),
             )
         };
         let mut syn = Synthesizer::for_host(self.seed, id);
@@ -367,7 +445,7 @@ impl WorldCore {
             BuildParams {
                 class: fate.class,
                 address: fate.initial_address,
-                port: fate.port,
+                port: layout.port_of(id),
                 referenced,
                 id,
                 seed: self.seed,
@@ -378,22 +456,23 @@ impl WorldCore {
         for ev in &fate.events {
             keygens += apply_event(&mut dep, ev, id, &week_nows, &self.shared, self.seed);
         }
-        (dep, keygens)
+        (dep, keygens, week_nows[fate.last_rebind_week as usize])
     }
 
     /// Renders a host's symbolic referrals to URLs from *current*
     /// addresses — identical to the eager path's rewrite-on-move end
     /// state, since vacated addresses are never recycled.
-    fn render_refs(&self, st: &CoreState, id: u64) -> Vec<String> {
-        let fate = &st.fates[id as usize];
+    fn render_refs(&self, history: &History, layout: &Layout, id: u64) -> Vec<String> {
+        let fate = &history.fates[id as usize];
+        let port = layout.port_of(id);
         fate.refs
             .iter()
             .map(|r| match r {
                 RefSpec::Host(j) => {
-                    let f = &st.fates[*j as usize];
-                    format!("opc.tcp://{}:{}/", f.address, f.port)
+                    let address = history.fates[*j as usize].address;
+                    format!("opc.tcp://{address}:{}/", layout.port_of(*j))
                 }
-                RefSpec::SelfNonCanonical => format!("OPC.TCP://{}:{}", fate.address, fate.port),
+                RefSpec::SelfNonCanonical => format!("OPC.TCP://{}:{port}", fate.address),
                 RefSpec::DeadPort => {
                     format!("opc.tcp://{}:{}/", fate.address, self.sweep_port + 90)
                 }
@@ -408,10 +487,12 @@ impl WorldCore {
     /// fleet; in a lazy world call this only when you mean to pay for
     /// it).
     pub(crate) fn materialize_alive(&self) {
+        let layout = self.layout();
         let pending: Vec<u64> = {
-            let st = self.state_read();
-            (0..st.fates.len() as u64)
-                .filter(|id| st.fates[*id as usize].alive && !st.deps.contains_key(id))
+            let st = read(&self.state);
+            layout
+                .alive_ids()
+                .filter(|id| !st.deps.contains_key(id))
                 .collect()
         };
         for id in pending {
@@ -423,11 +504,9 @@ impl WorldCore {
     /// Materializes the fleet first.
     pub(crate) fn alive_deps(&self) -> Vec<HostDeployment> {
         self.materialize_alive();
-        let st = self.state_read();
-        (0..st.fates.len() as u64)
-            .filter(|id| st.fates[*id as usize].alive)
-            .map(|id| st.deps[&id].clone())
-            .collect()
+        let layout = self.layout();
+        let st = read(&self.state);
+        layout.alive_ids().map(|id| st.deps[&id].clone()).collect()
     }
 
     pub(crate) fn population(&self) -> Population {
@@ -439,13 +518,17 @@ impl WorldCore {
 
     /// One week of churn: decisions from per-event salted RNGs, fates
     /// updated for everyone, material applied live for materialized
-    /// hosts and logged for replay otherwise.
+    /// hosts and logged for replay otherwise. Ends by publishing the
+    /// week's layout.
     pub(crate) fn evolve_week(&self, week: u32, churn: &ChurnConfig) -> WeekChurn {
         let now = self.net.clock().now_unix_seconds();
-        let mut st = self.state_write();
-        debug_assert_eq!(st.week_nows.len() as u32, week, "weeks must be consecutive");
-        st.week_nows.push(now);
-        let week_nows = st.week_nows.clone();
+        let mut history = write(&self.history);
+        let mut st = write(&self.state);
+        let mut layout = Layout::clone(&self.layout());
+        let h = &mut *history;
+        debug_assert_eq!(h.week_nows.len() as u32, week, "weeks must be consecutive");
+        h.week_nows.push(now);
+        let week_nows = h.week_nows.clone();
         let mut log = WeekChurn {
             week,
             events: Vec::new(),
@@ -454,18 +537,18 @@ impl WorldCore {
         // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
         let mut moved_ids: HashSet<u64> = HashSet::new();
 
-        for idx in 0..st.fates.len() {
-            if !st.fates[idx].alive {
+        for idx in 0..h.fates.len() {
+            let id = idx as u64;
+            if !layout.is_alive(id) {
                 continue;
             }
-            let id = idx as u64;
-            let class = st.fates[idx].class;
+            let class = h.fates[idx].class;
             let lds_like = matches!(class, HostClass::DiscoveryServer | HostClass::ChainedLds);
 
             if !lds_like && event_rng(self.seed, week, id, SALT_DEPART).gen_bool(churn.departure) {
-                let addr = st.fates[idx].address;
-                st.overlay.insert(addr.0, Occupancy::Vacated);
-                st.fates[idx].alive = false;
+                let addr = h.fates[idx].address;
+                layout.overlay.insert(addr.0, Occupancy::Vacated);
+                layout.hosts[idx].alive = false;
                 if let Some(dep) = st.deps.remove(&id) {
                     self.net.remove_host(addr);
                     st.stats.bytes_resident_estimate = st
@@ -479,37 +562,37 @@ impl WorldCore {
 
             let mut mrng = event_rng(self.seed, week, id, SALT_MOVE);
             if mrng.gen_bool(churn.ip_move) {
-                let from = st.fates[idx].address;
-                let to = pick_free_address(&mut mrng, &self.universe, &mut st.used);
-                st.overlay.insert(from.0, Occupancy::Vacated);
-                st.overlay.insert(to.0, Occupancy::Occupied(id));
-                st.fates[idx].address = to;
-                st.fates[idx].last_rebind_week = week;
+                let from = h.fates[idx].address;
+                let to = pick_free_address(&mut mrng, &self.universe, &mut h.used);
+                layout.overlay.insert(from.0, Occupancy::Vacated);
+                layout.overlay.insert(to.0, Occupancy::Occupied(id));
+                h.fates[idx].address = to;
+                h.fates[idx].last_rebind_week = week;
                 let ev = MaterialEvent::Moved { from, to };
                 if let Some(dep) = st.deps.get_mut(&id) {
                     self.net.remove_host(from);
                     apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
                     rebind.insert(id);
                 }
-                st.fates[idx].events.push(ev);
+                h.fates[idx].events.push(ev);
                 moved_ids.insert(id);
                 log.events.push((id, ChurnEvent::Moved { from }));
             }
 
-            if st.fates[idx].has_cert
+            if h.fates[idx].has_cert
                 && event_rng(self.seed, week, id, SALT_RENEW).gen_bool(churn.renewal)
             {
                 let ev = MaterialEvent::Renewed { week };
-                st.fates[idx].last_rebind_week = week;
+                h.fates[idx].last_rebind_week = week;
                 if let Some(dep) = st.deps.get_mut(&id) {
                     apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
                     rebind.insert(id);
                 }
-                st.fates[idx].events.push(ev);
+                h.fates[idx].events.push(ev);
                 log.events.push((id, ChurnEvent::RenewedCert));
             }
 
-            if let Some((major, minor, patch)) = parse_version(&st.fates[idx].version) {
+            if let Some((major, minor, patch)) = parse_version(&h.fates[idx].version) {
                 let mut vrng = event_rng(self.seed, week, id, SALT_VERSION);
                 let to = if vrng.gen_bool(churn.upgrade) {
                     // Mostly patch bumps, occasionally a minor release.
@@ -524,16 +607,16 @@ impl WorldCore {
                     None
                 };
                 if let Some(to) = to {
-                    let from = st.fates[idx].version.clone();
+                    let from = h.fates[idx].version.clone();
                     let upgraded = parse_version(&to) > parse_version(&from);
-                    st.fates[idx].version = to.clone();
-                    st.fates[idx].last_rebind_week = week;
+                    h.fates[idx].version = to.clone();
+                    h.fates[idx].last_rebind_week = week;
                     let ev = MaterialEvent::SetVersion { to: to.clone() };
                     if let Some(dep) = st.deps.get_mut(&id) {
                         apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
                         rebind.insert(id);
                     }
-                    st.fates[idx].events.push(ev);
+                    h.fates[idx].events.push(ev);
                     let event = if upgraded {
                         ChurnEvent::Upgraded { from, to }
                     } else {
@@ -545,28 +628,28 @@ impl WorldCore {
 
             if !lds_like {
                 let mut frng = event_rng(self.seed, week, id, SALT_FIX);
-                if st.fates[idx].has_none && frng.gen_bool(churn.remediation) {
-                    let minted_cert = !st.fates[idx].has_cert;
-                    st.fates[idx].has_none = false;
-                    st.fates[idx].has_cert = true;
-                    st.fates[idx].last_rebind_week = week;
+                if h.fates[idx].has_none && frng.gen_bool(churn.remediation) {
+                    let minted_cert = !h.fates[idx].has_cert;
+                    h.fates[idx].has_none = false;
+                    h.fates[idx].has_cert = true;
+                    h.fates[idx].last_rebind_week = week;
                     let ev = MaterialEvent::Remediated { week, minted_cert };
                     if let Some(dep) = st.deps.get_mut(&id) {
                         let minted = apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
                         st.stats.keygen_count += minted;
                         rebind.insert(id);
                     }
-                    st.fates[idx].events.push(ev);
+                    h.fates[idx].events.push(ev);
                     log.events.push((id, ChurnEvent::Remediated));
-                } else if !st.fates[idx].has_none && frng.gen_bool(churn.regression) {
-                    st.fates[idx].has_none = true;
-                    st.fates[idx].last_rebind_week = week;
+                } else if !h.fates[idx].has_none && frng.gen_bool(churn.regression) {
+                    h.fates[idx].has_none = true;
+                    h.fates[idx].last_rebind_week = week;
                     let ev = MaterialEvent::Regressed;
                     if let Some(dep) = st.deps.get_mut(&id) {
                         apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
                         rebind.insert(id);
                     }
-                    st.fates[idx].events.push(ev);
+                    h.fates[idx].events.push(ev);
                     log.events.push((id, ChurnEvent::Regressed));
                 }
             }
@@ -574,7 +657,7 @@ impl WorldCore {
 
         // Arrivals: expected count is a fraction of the (post-departure)
         // living population, rounded stochastically but deterministically.
-        let alive_now = st.fates.iter().filter(|f| f.alive).count();
+        let alive_now = layout.alive_ids().count();
         let mut arrivals_rng = StdRng::seed_from_u64(host_week_seed(self.seed, week, u64::MAX));
         let expected = alive_now as f64 * churn.arrival;
         let mut n = expected.floor() as usize;
@@ -584,17 +667,19 @@ impl WorldCore {
         let mut arrived: Vec<u64> = Vec::new();
         for _ in 0..n {
             let class = crate::evolution::ARRIVAL_CLASSES
-                [st.arrival_cursor % crate::evolution::ARRIVAL_CLASSES.len()];
-            st.arrival_cursor += 1;
-            let id = st.fates.len() as u64;
-            let address = pick_free_address(&mut arrivals_rng, &self.universe, &mut st.used);
-            st.overlay.insert(address.0, Occupancy::Occupied(id));
-            st.fates.push(HostFate {
+                [h.arrival_cursor % crate::evolution::ARRIVAL_CLASSES.len()];
+            h.arrival_cursor += 1;
+            let id = h.fates.len() as u64;
+            let address = pick_free_address(&mut arrivals_rng, &self.universe, &mut h.used);
+            layout.overlay.insert(address.0, Occupancy::Occupied(id));
+            layout.hosts.push(HostSlot {
+                port: self.sweep_port,
+                alive: true,
+            });
+            h.fates.push(HostFate {
                 class,
                 initial_address: address,
                 address,
-                port: self.sweep_port,
-                alive: true,
                 version: initial_version(self.seed, id),
                 has_cert: class_has_certificate(class),
                 has_none: class_offers_none(class),
@@ -612,20 +697,23 @@ impl WorldCore {
         // non-canonical self-referral and dead decoy port too — they
         // embed the host's address textually).
         if !moved_ids.is_empty() {
-            for idx in 0..st.fates.len() {
+            for idx in 0..h.fates.len() {
                 let id = idx as u64;
-                if !st.fates[idx].alive || st.fates[idx].refs.is_empty() {
+                if !layout.is_alive(id) || h.fates[idx].refs.is_empty() {
                     continue;
                 }
                 let own_moved = moved_ids.contains(&id);
-                let mentions = st.fates[idx].refs.iter().any(|r| match r {
+                let mentions = h.fates[idx].refs.iter().any(|r| match r {
                     RefSpec::Host(j) => moved_ids.contains(j),
                     RefSpec::SelfNonCanonical | RefSpec::DeadPort => own_moved,
                     RefSpec::Unresolvable => false,
                 });
                 if mentions {
-                    st.fates[idx].last_rebind_week = week;
-                    let urls = st.deps.contains_key(&id).then(|| self.render_refs(&st, id));
+                    h.fates[idx].last_rebind_week = week;
+                    let urls = st
+                        .deps
+                        .contains_key(&id)
+                        .then(|| self.render_refs(h, &layout, id));
                     if let (Some(urls), Some(dep)) = (urls, st.deps.get_mut(&id)) {
                         dep.config.referenced_endpoints = urls;
                         rebind.insert(id);
@@ -635,13 +723,15 @@ impl WorldCore {
         }
 
         for id in rebind {
-            if st.fates[id as usize].alive {
+            if layout.is_alive(id) {
                 if let Some(dep) = st.deps.get(&id) {
                     bind_deployment(&self.net, dep, now);
                 }
             }
         }
+        *write(&self.layout) = Arc::new(layout);
         drop(st);
+        drop(history);
 
         // Eager worlds bind arrivals immediately; lazy worlds leave
         // them to first probe contact.
@@ -776,28 +866,23 @@ fn apply_event(
 
 /// The [`HostResolver`] a lazy [`WorldCore`] installs on its Internet.
 /// Holds the core weakly: when the world is dropped, the resolver
-/// answers "nothing there" instead of leaking the engine.
+/// answers "nothing there" instead of leaking the engine — new
+/// snapshots through the failed upgrade, snapshots already handed out
+/// through the layout's liveness flag.
 struct WorldResolver {
     core: Weak<WorldCore>,
 }
 
 impl HostResolver for WorldResolver {
-    fn host_exists(&self, addr: Ipv4) -> bool {
+    fn layout(&self) -> Option<Arc<dyn HostLayout>> {
         self.core
             .upgrade()
-            .is_some_and(|core| core.lookup(addr).is_some())
-    }
-
-    fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
-        self.core.upgrade().is_some_and(|core| {
-            core.lookup(addr)
-                .is_some_and(|id| core.state_read().fates[id as usize].port == port)
-        })
+            .map(|core| core.layout() as Arc<dyn HostLayout>)
     }
 
     fn materialize(&self, _net: &Internet, addr: Ipv4) {
         if let Some(core) = self.core.upgrade() {
-            if let Some(id) = core.lookup(addr) {
+            if let Some(id) = core.layout().host_at(addr) {
                 core.materialize(id);
             }
         }
@@ -839,8 +924,8 @@ pub struct LazyWorld {
 }
 
 impl LazyWorld {
-    /// Registers the lazy world for `cfg` on `net` (replaces any
-    /// previous resolver). No host material is built.
+    /// Registers the lazy world for `cfg` on `net`, which must not
+    /// carry another world's resolver. No host material is built.
     pub fn deploy(net: &Internet, cfg: &PopulationConfig) -> LazyWorld {
         LazyWorld {
             core: WorldCore::new(net, cfg, true),
@@ -866,5 +951,163 @@ impl LazyWorld {
     /// host** — this is the audit/validation exit, not the fast path.
     pub fn population(&self) -> Population {
         self.core.population()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ChurnConfig, EvolvingWorld, StrataMix};
+    use netsim::{ConnectError, ConnectPoll, VirtualClock};
+
+    const EPOCH: u64 = 1_581_206_400;
+    const WEEK_MICROS: u64 = 7 * 86_400 * 1_000_000;
+    const SCANNER: Ipv4 = Ipv4(0xC000_0201); // 192.0.2.1
+
+    fn config(seed: u64) -> PopulationConfig {
+        PopulationConfig::new(
+            seed,
+            vec!["10.0.0.0/20".parse().unwrap()],
+            StrataMix::paper_like(40),
+        )
+    }
+
+    fn addresses(cfg: &PopulationConfig) -> Vec<Ipv4> {
+        let universe = cfg.universe[0];
+        (0..universe.size() as u32)
+            .map(|i| Ipv4(universe.base.0 + i))
+            .collect()
+    }
+
+    /// Every port a planted host may listen on, plus one none does.
+    fn ports(cfg: &PopulationConfig) -> Vec<u16> {
+        (cfg.port..=cfg.port + 10).chain([80]).collect()
+    }
+
+    /// Per address: does a host exist, and which of `ports` listen.
+    type Answers = Vec<(bool, Vec<bool>)>;
+
+    fn answers(net: &Internet, addrs: &[Ipv4], ports: &[u16]) -> Answers {
+        addrs
+            .iter()
+            .map(|&addr| {
+                let listening = ports.iter().map(|&p| net.has_listener(addr, p)).collect();
+                (net.host_exists(addr), listening)
+            })
+            .collect()
+    }
+
+    /// Walks the universe through one occupancy snapshot, as a sweep
+    /// shard does, and checks every answer against the eager oracle.
+    fn sweep_matches(net: &Internet, addrs: &[Ipv4], ports: &[u16], oracle: &Answers) {
+        let occupancy = net.occupancy();
+        for (&addr, (exists, listening)) in addrs.iter().zip(oracle) {
+            assert_eq!(net.host_exists(addr), *exists, "host_exists({addr})");
+            for (&port, &want) in ports.iter().zip(listening) {
+                assert_eq!(occupancy.has_listener(addr, port), want, "{addr}:{port}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_occupancy_matches_the_eager_world_every_week() {
+        let cfg = config(4242);
+        let churn = ChurnConfig {
+            ip_move: 0.15,
+            departure: 0.08,
+            arrival: 0.1,
+            ..ChurnConfig::default()
+        };
+        let eager_net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let lazy_net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let mut eager = EvolvingWorld::new(&eager_net, &cfg, churn.clone());
+        let mut lazy = EvolvingWorld::new_lazy(&lazy_net, &cfg, churn);
+        let (addrs, ports) = (addresses(&cfg), ports(&cfg));
+
+        for week in 0..=6 {
+            if week > 0 {
+                for net in [&eager_net, &lazy_net] {
+                    net.clock().advance_micros(WEEK_MICROS);
+                }
+                let planted = format!("{:?}", eager.evolve(week));
+                assert_eq!(format!("{:?}", lazy.evolve(week)), planted, "week {week}");
+            }
+            let oracle = answers(&eager_net, &addrs, &ports);
+            assert_eq!(answers(&lazy_net, &addrs, &ports), oracle, "week {week}");
+
+            // Two sweep shards check the universe while a third thread
+            // materializes every other listening host.
+            let targets: Vec<(Ipv4, u16)> = addrs
+                .iter()
+                .zip(&oracle)
+                .flat_map(|(&addr, (_, listening))| {
+                    let open = ports.iter().zip(listening).filter(|(_, &l)| l);
+                    open.map(move |(&port, _)| (addr, port))
+                })
+                .step_by(2)
+                .collect();
+            assert!(!targets.is_empty(), "week {week}: nobody listens");
+            let start = std::sync::Barrier::new(3);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    for &(addr, port) in &targets {
+                        assert!(
+                            lazy_net.connect(SCANNER, addr, port).is_ok(),
+                            "{addr}:{port}"
+                        );
+                    }
+                });
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        sweep_matches(&lazy_net, &addrs, &ports, &oracle)
+                    });
+                }
+            });
+            sweep_matches(&lazy_net, &addrs, &ports, &oracle);
+        }
+        let history = eager.history();
+        assert!(history.iter().any(|w| w.moves() > 0), "no move planted");
+        assert!(history.iter().any(|w| w.departures() > 0), "no departure");
+        assert!(history.iter().any(|w| w.arrivals() > 0), "no arrival");
+    }
+
+    /// Once its world is dropped, a lazy Internet reports nothing at any
+    /// address the world never materialized — through new queries and
+    /// through a snapshot taken while the world was alive.
+    #[test]
+    fn dropped_lazy_world_answers_nothing_there() {
+        let cfg = config(11);
+        for weeks in [0, 3] {
+            let net = Internet::new(VirtualClock::starting_at(EPOCH));
+            let mut world = EvolvingWorld::new_lazy(&net, &cfg, ChurnConfig::default());
+            for week in 1..=weeks {
+                net.clock().advance_micros(WEEK_MICROS);
+                world.evolve(week);
+            }
+            let listening: Vec<Ipv4> = addresses(&cfg)
+                .into_iter()
+                .filter(|&a| net.has_listener(a, cfg.port))
+                .collect();
+            assert!(!listening.is_empty(), "weeks {weeks}");
+            assert_eq!(world.stats().hosts_materialized, 0);
+            let snapshot = net.occupancy();
+            drop(world);
+            for &addr in &listening {
+                assert!(!net.host_exists(addr), "{addr}");
+                assert!(!net.has_listener(addr, cfg.port), "{addr}");
+                assert!(!snapshot.has_listener(addr, cfg.port), "{addr}");
+                assert!(matches!(
+                    net.poll_connect(addr, cfg.port),
+                    ConnectPoll::NoRoute { .. }
+                ));
+            }
+            assert_eq!(
+                net.connect(SCANNER, listening[0], cfg.port).err(),
+                Some(ConnectError::NoRoute)
+            );
+            assert_eq!(net.host_count(), 0);
+        }
     }
 }

@@ -10,13 +10,15 @@
 //!
 //! ## Sharded scanning
 //!
-//! [`ScanConfig::workers`] shards the campaign across N threads: every
-//! worker walks the *same* zmap permutation (the walk is a function of
-//! the seed alone) but probes only the steps `pos % workers == shard`,
-//! running its own probe stack. Records carry their global permutation
-//! step, and the coordinator merges the N sorted shard streams back into
+//! [`ScanConfig::workers`] shards the campaign across N threads: the
+//! zmap permutation (a function of the seed alone) is cut into chunks of
+//! consecutive walk steps ([`netsim::SweepChunks`]), and each worker
+//! claims the next unclaimed chunk whenever it finishes one, running its
+//! own probe stack, so a worker on a slower core simply sweeps less.
+//! Records carry their global permutation step, each worker's stream is
+//! sorted by it, and the coordinator merges the N streams back into
 //! exact discovery order, so the output is **byte-identical for a fixed
-//! seed regardless of worker count**.
+//! seed regardless of worker count** (and of which worker probed what).
 //!
 //! Two invariants make that determinism hold:
 //!
@@ -50,7 +52,8 @@ use crate::sched::{
 use crate::suite::{OpcUaSuite, ProtocolSuite};
 use crate::url::OpcUrl;
 use netsim::{
-    Blocklist, Cidr, Internet, Ipv4, SweepConfig, SweepStats, SweepWalk, SynScanner, VirtualClock,
+    Blocklist, Cidr, Internet, Ipv4, Occupancy, SweepChunks, SweepConfig, SweepStats, SweepWalk,
+    SynScanner, VirtualClock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -592,7 +595,7 @@ impl Scanner {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut jobs = SweepJobs {
                     walk: SweepWalk::new(universe, &mut rng, 0, 1),
-                    internet: &self.internet,
+                    occupancy: self.internet.occupancy(),
                     blocklist: &self.blocklist,
                     port: sweep_port,
                     seed,
@@ -923,9 +926,10 @@ impl Scanner {
         results
     }
 
-    /// The multi-worker engine: N scoped threads each sweep their shard
-    /// of the permutation and probe their hosts; the coordinator merges
-    /// the N position-sorted streams back into global discovery order.
+    /// The multi-worker engine: N scoped threads claim chunks of the
+    /// permutation, sweep them and probe their hosts; the coordinator
+    /// merges the N position-sorted streams back into global discovery
+    /// order.
     #[allow(clippy::too_many_arguments)]
     fn scan_sharded<F>(
         &self,
@@ -943,10 +947,12 @@ impl Scanner {
         F: FnMut(ScanRecord),
     {
         let capacity = self.config.effective_channel_capacity();
+        let chunks = SweepChunks::new(universe, &mut StdRng::seed_from_u64(seed));
+        let chunks = &chunks;
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             let mut rxs = Vec::with_capacity(workers);
-            for shard in 0..workers {
+            for _ in 0..workers {
                 let (tx, rx) = mpsc::sync_channel::<ShardItem>(capacity);
                 rxs.push(rx);
                 let epoch = epoch.clone();
@@ -957,29 +963,22 @@ impl Scanner {
                         &self.blocklist,
                         self.sweep_config(sweep_port),
                     );
-                    let mut rng = StdRng::seed_from_u64(seed);
                     let mut stack = suite.stack();
-                    syn.sweep_shard(
-                        universe,
-                        &mut rng,
-                        shard as u64,
-                        workers as u64,
-                        |pos, addr| {
-                            let (record, micros) = self.probe_host_at_epoch(
-                                &epoch,
-                                certs,
-                                &suite,
-                                &mut stack,
-                                addr,
-                                sweep_port,
-                                DiscoveredVia::Sweep,
-                                seed ^ u64::from(addr.0),
-                            );
-                            // A dropped coordinator means the scan was
-                            // abandoned; keep sweeping for the stats.
-                            let _ = tx.send((pos, record, micros));
-                        },
-                    )
+                    syn.sweep_chunks(chunks, |pos, addr| {
+                        let (record, micros) = self.probe_host_at_epoch(
+                            &epoch,
+                            certs,
+                            &suite,
+                            &mut stack,
+                            addr,
+                            sweep_port,
+                            DiscoveredVia::Sweep,
+                            seed ^ u64::from(addr.0),
+                        );
+                        // A dropped coordinator means the scan was
+                        // abandoned; keep sweeping for the stats.
+                        let _ = tx.send((pos, record, micros));
+                    })
                 }));
             }
             // N-way merge: each shard stream is sorted by permutation
@@ -1067,7 +1066,8 @@ struct ResumeFilter {
 /// engine can checkpoint mid-walk.
 struct SweepJobs<'a> {
     walk: SweepWalk,
-    internet: &'a Internet,
+    /// One occupancy snapshot for the whole walk.
+    occupancy: Occupancy<'a>,
     blocklist: &'a Blocklist,
     port: u16,
     seed: u64,
@@ -1117,7 +1117,7 @@ impl Iterator for SweepJobs<'_> {
                 continue;
             }
             self.stats.probes_sent += 1;
-            if self.internet.has_listener(addr, self.port) {
+            if self.occupancy.has_listener(addr, self.port) {
                 self.stats.responsive += 1;
                 return Some(self.job(pos, addr));
             }

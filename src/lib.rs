@@ -119,11 +119,11 @@
 //! ## Scaling knobs
 //!
 //! * **Worker count** — `ScanConfig::workers` shards the campaign
-//!   across N probe threads. The permuted universe is split
-//!   deterministically (`pos % workers`) and shard outputs merge back
-//!   into discovery order, so records, report, and summary are
-//!   byte-identical for a fixed seed at *any* worker count; only the
-//!   wall-clock changes. CI enforces this by diffing a 1-worker against
+//!   across N probe threads. The permuted universe is cut into chunks
+//!   of consecutive walk steps that the threads claim as they go, and
+//!   their outputs merge back into discovery order on the walk step,
+//!   so records, report, and summary are byte-identical for a fixed
+//!   seed at *any* worker count; only the wall-clock changes. CI enforces this by diffing a 1-worker against
 //!   a 4-worker campaign.
 //! * **Scan engine** — `ScanConfig::engine` selects between the
 //!   thread-per-shard reference engine and `scanner::sched`'s
