@@ -7,7 +7,7 @@
 //! the exact fate sequence a retrying scanner sees, the bench can
 //! assert — not sample — that every recoverable swept host is
 //! recovered and every write-off is classified to match its planted
-//! fate, at every worker count and on both engines, byte-identically.
+//! fate, at every worker count, byte-identically.
 //!
 //! ```sh
 //! BENCH_HOSTS=300 BENCH_UNIVERSE=20 BENCH_WORKERS=1,2,4,8 \
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use bench::{time, write_bench_json, BenchConfig, Json};
 use netsim::{Blocklist, Internet};
 use population::{FaultStratum, MiddleboxConfig, MiddleboxPlan, Population};
-use scanner::{HostOutcome, RetryPolicy, ScanConfig, ScanEngine, ScanRecord, ScanSummary, Scanner};
+use scanner::{HostOutcome, RetryPolicy, ScanConfig, ScanRecord, ScanSummary, Scanner};
 
 /// Order-sensitive digest over a record stream (same fold as the sweep
 /// bench) — any reordering, dropped record, or changed payload shifts
@@ -46,10 +46,9 @@ fn hostile_world(cfg: &BenchConfig) -> (Internet, Population, MiddleboxPlan) {
     (net, population, plan)
 }
 
-fn scanner_with(net: Internet, workers: usize, engine: ScanEngine, retry: RetryPolicy) -> Scanner {
+fn scanner_with(net: Internet, workers: usize, retry: RetryPolicy) -> Scanner {
     let config = ScanConfig {
         workers,
-        engine,
         retry,
         ..ScanConfig::default()
     };
@@ -125,7 +124,7 @@ fn main() {
     let mut truth = (0usize, 0usize, 0usize);
     for &workers in &cfg.worker_counts {
         let (net, population, plan) = hostile_world(&cfg);
-        let scanner = scanner_with(net, workers, ScanEngine::Threaded, RetryPolicy::hostile());
+        let scanner = scanner_with(net, workers, RetryPolicy::hostile());
         let (seconds, (summary, records)) = time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
         let run_digest = digest(&records, summary.opcua_hosts);
         match &baseline_digest {
@@ -164,30 +163,12 @@ fn main() {
     let hostile_summary = hostile_summary.expect("at least one worker count");
     let (recoverable, recovered, _) = truth;
 
-    // Event-loop engine under fire: same bytes as the threaded runs.
-    let (net, _, _) = hostile_world(&cfg);
-    let scanner = scanner_with(net, 1, ScanEngine::EventLoop, RetryPolicy::hostile());
-    let (el_seconds, (el_summary, el_records)) =
-        time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
-    let el_digest = digest(&el_records, el_summary.opcua_hosts);
-    assert_eq!(
-        baseline_digest.as_ref(),
-        Some(&el_digest),
-        "event-loop hostile output diverged from the threaded baseline"
-    );
-    println!("  event_loop: {el_seconds:.3}s, digest matches threaded");
-
     // Polite single-attempt baseline on the same hostile world: what a
     // pre-retry scanner would have reported, and what the retry layer
     // costs on top of it.
     let polite_workers = cfg.worker_counts.first().copied().unwrap_or(1);
     let (net, _, _) = hostile_world(&cfg);
-    let scanner = scanner_with(
-        net,
-        polite_workers,
-        ScanEngine::Threaded,
-        RetryPolicy::default(),
-    );
+    let scanner = scanner_with(net, polite_workers, RetryPolicy::default());
     let (polite_seconds, (polite_summary, _)) =
         time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
     let undercount = hostile_summary.faults.ok - polite_summary.faults.ok;
@@ -220,7 +201,6 @@ fn main() {
         .set("seed", Json::int(cfg.seed as i64))
         .set("retry_budget", Json::int(budget as i64))
         .set("deterministic_across_worker_counts", Json::Bool(true))
-        .set("event_loop_digest_matches_threaded", Json::Bool(true))
         .set("recoverable_swept_hosts", Json::int(recoverable as i64))
         .set("recovered_swept_hosts", Json::int(recovered as i64))
         .set(

@@ -8,10 +8,6 @@
 //! [`population::LazyWorld`], asserts the digest still matches, and
 //! records the materialization counters so the perf trail shows sweeps
 //! paying only for the hosts probes actually reach.
-//! A final event-loop section runs the timer-wheel engine
-//! (`scanner::sched`) at a fixed in-flight cap and two worker counts,
-//! asserting the digest still matches the threaded baseline and that
-//! throughput tracks the in-flight budget, not `ScanConfig::workers`.
 //!
 //! ```sh
 //! BENCH_HOSTS=300 BENCH_UNIVERSE=20 BENCH_WORKERS=1,2,4,8 \
@@ -21,10 +17,7 @@
 //! Emits `BENCH_sweep.json`.
 
 use bench::{time, write_bench_json, BenchConfig, Json};
-use netsim::Blocklist;
-use scanner::{
-    CancelToken, CertStore, EngineStats, ScanConfig, ScanEngine, ScanOutcome, ScanRecord, Scanner,
-};
+use scanner::ScanRecord;
 
 /// Cheap order-sensitive digest over a record stream — any reordering,
 /// dropped record, or changed payload shifts it.
@@ -38,51 +31,6 @@ fn digest(records: &[ScanRecord], opcua_hosts: u64) -> String {
             .wrapping_add(u64::from(r.address.0))
             .wrapping_add(r.rx_bytes))
     )
-}
-
-/// In-flight window for the event-loop runs: large enough to keep the
-/// wheel busy, small enough that the high-water gate means something.
-const EVENT_LOOP_CAP: usize = 64;
-/// Best-of-N rounds for the event-loop and threaded-reference timings —
-/// each round on a fresh identically-seeded world.
-const EVENT_LOOP_ROUNDS: usize = 3;
-
-/// Times the event-loop engine at `workers` on fresh worlds. Returns
-/// the best-of-N wall-clock seconds plus the (identical every round)
-/// digest, record count, and engine counters of the last round.
-fn event_loop_run(cfg: &BenchConfig, workers: usize) -> (f64, String, usize, EngineStats) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..EVENT_LOOP_ROUNDS {
-        let (net, _population) = cfg.build_world();
-        let config = ScanConfig {
-            workers,
-            engine: ScanEngine::EventLoop,
-            max_in_flight: EVENT_LOOP_CAP,
-            ..ScanConfig::default()
-        };
-        let scanner = Scanner::new(net, Blocklist::new(), config);
-        let certs = CertStore::new();
-        let mut records = Vec::new();
-        let (seconds, outcome) = time(|| {
-            scanner.scan_resumable(
-                &cfg.universe,
-                cfg.seed,
-                &certs,
-                None,
-                &CancelToken::new(),
-                |r| records.push(r),
-            )
-        });
-        let (summary, engine) = match outcome {
-            ScanOutcome::Complete { summary, engine } => (summary, engine),
-            ScanOutcome::Aborted { .. } => unreachable!("no cancellation armed"),
-        };
-        best = best.min(seconds);
-        last = Some((digest(&records, summary.opcua_hosts), records.len(), engine));
-    }
-    let (d, n, engine) = last.expect("at least one round");
-    (best, d, n, engine)
 }
 
 fn main() {
@@ -171,62 +119,6 @@ fn main() {
         stats.hosts_materialized, stats.keygen_count, stats.bytes_resident_estimate
     );
 
-    // Event-loop engine: the single-threaded timer wheel must produce
-    // the threaded digest at any worker count (the knob is inert for
-    // this engine — throughput tracks the in-flight cap instead), and
-    // it must not lose to the 1-worker threaded reference it replaces.
-    let el_low_workers = cfg.worker_counts.first().copied().unwrap_or(1);
-    let el_high_workers = cfg.worker_counts.last().copied().unwrap_or(4).max(2);
-    let mut el_runs = Vec::new();
-    let mut el_best_seconds = f64::INFINITY;
-    let mut el_engine = EngineStats::default();
-    for workers in [el_low_workers, el_high_workers] {
-        let (seconds, el_digest, n_records, engine) = event_loop_run(&cfg, workers);
-        assert_eq!(
-            baseline_digest.as_ref(),
-            Some(&el_digest),
-            "event-loop output diverged from the threaded baseline at workers={workers}"
-        );
-        assert!(
-            engine.in_flight_high_water <= EVENT_LOOP_CAP,
-            "in-flight window overran the cap: {} > {EVENT_LOOP_CAP}",
-            engine.in_flight_high_water
-        );
-        let records_per_sec = n_records as f64 / seconds;
-        println!(
-            "  event_loop (workers={workers}, cap {EVENT_LOOP_CAP}): {seconds:.3}s, \
-             {records_per_sec:.0} records/s, high water {}, {} cascades",
-            engine.in_flight_high_water, engine.wheel_cascades
-        );
-        el_best_seconds = el_best_seconds.min(seconds);
-        el_engine = engine;
-        el_runs.push(
-            Json::obj()
-                .set("workers", Json::int(workers as i64))
-                .set("seconds", Json::Num(seconds))
-                .set("records_per_second", Json::Num(records_per_sec))
-                .set(
-                    "addresses_per_second",
-                    Json::Num(universe_size as f64 / seconds),
-                ),
-        );
-    }
-    // Re-time the 1-worker threaded reference best-of-N so the engine
-    // comparison is noise-robust on both sides (world construction
-    // stays outside the timed region, as everywhere above).
-    let mut threaded_1w_seconds = f64::INFINITY;
-    for _ in 0..EVENT_LOOP_ROUNDS {
-        let (net, _population) = cfg.build_world();
-        let scanner = cfg.scanner(net, 1);
-        let (seconds, _) = time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
-        threaded_1w_seconds = threaded_1w_seconds.min(seconds);
-    }
-    println!(
-        "  threaded reference (workers=1, best of {EVENT_LOOP_ROUNDS}): \
-         {threaded_1w_seconds:.3}s → event loop speedup {:.2}x",
-        threaded_1w_seconds / el_best_seconds
-    );
-
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -254,25 +146,6 @@ fn main() {
                     Json::int(stats.peak_bytes_resident_estimate),
                 )
                 .set("digest_matches_eager", Json::Bool(true)),
-        )
-        .set(
-            "event_loop",
-            Json::obj()
-                .set("max_in_flight", Json::int(EVENT_LOOP_CAP as i64))
-                .set("rounds", Json::int(EVENT_LOOP_ROUNDS as i64))
-                .set("runs", Json::Arr(el_runs))
-                .set("digest_matches_threaded", Json::Bool(true))
-                .set(
-                    "in_flight_high_water",
-                    Json::int(el_engine.in_flight_high_water as i64),
-                )
-                .set("timer_cascades", Json::int(el_engine.wheel_cascades as i64))
-                .set("timers_fired", Json::int(el_engine.timers_fired as i64))
-                .set("threaded_1worker_seconds", Json::Num(threaded_1w_seconds))
-                .set(
-                    "speedup_vs_threaded_1worker",
-                    Json::Num(threaded_1w_seconds / el_best_seconds),
-                ),
         );
     let path = write_bench_json("sweep", &out);
     println!("wrote {}", path.display());

@@ -138,7 +138,7 @@ impl NetProfile {
 
     /// Resolves connect attempt number `attempt` (0-based) to its fate.
     /// Pure: the same `(profile, attempt)` always answers the same, at
-    /// any worker count, on any engine.
+    /// any worker count.
     pub fn connect_fate(&self, attempt: u32) -> ConnectFate {
         if let Some(fw) = self.firewall {
             if fw.is_permanent() || attempt < fw.strikes {

@@ -101,15 +101,13 @@ const DEFAULT_RTT_HINT_MICROS: u64 = 10_000;
 /// The *predicted* outcome of a connect, answered without blocking,
 /// without advancing any clock, and without materializing lazy hosts.
 ///
-/// This is the non-blocking half of the event-loop engine's SYN stage:
-/// [`Internet::poll_connect`] tells the scheduler what a
+/// [`Internet::poll_connect`] tells a caller what a
 /// [`Internet::connect`] to the same `(addr, port)` *will* do and
-/// roughly when, so a timer can be armed for the completion; the
-/// blocking [`Internet::connect`] on the probe's private clock fork
-/// remains the completion path that actually pays the latency (and, for
-/// lazy worlds, materializes the host). Because the hint only schedules
-/// engine wake-ups — never record contents — an imprecise hint for an
-/// unmaterialized host cannot break byte-identity.
+/// roughly when; the blocking [`Internet::connect`] on the probe's
+/// private clock fork remains the path that actually pays the latency
+/// (and, for lazy worlds, materializes the host). The hint for an
+/// unmaterialized host is approximate, so it must never feed record
+/// contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnectPoll {
     /// A listener accepts: the handshake will complete after one RTT.
@@ -161,8 +159,7 @@ impl ConnectPoll {
 
     /// How many virtual microseconds until the connect attempt resolves
     /// (handshake completes, RST arrives, the SYN times out, or a fault
-    /// burns its budget). Used by the event loop to arm completion
-    /// timers.
+    /// burns its budget).
     pub fn latency_hint_micros(&self) -> u64 {
         match self {
             ConnectPoll::Listening { rtt_micros } | ConnectPoll::Refused { rtt_micros } => {
@@ -480,8 +477,7 @@ impl Internet {
     ///
     /// Shares `connect`'s route decision — bound table first, then the
     /// lazy resolver — but never materializes a host and never touches
-    /// the clock: it is safe to call once per admitted probe from the
-    /// event loop. See [`ConnectPoll`] for how the answer (and its
+    /// the clock. See [`ConnectPoll`] for how the answer (and its
     /// latency hint) is meant to be used.
     pub fn poll_connect(&self, to: Ipv4, port: u16) -> ConnectPoll {
         let base = self.route(self.layout().as_deref(), to, port);

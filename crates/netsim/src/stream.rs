@@ -110,9 +110,8 @@ impl TcpStreamSim {
     }
 
     /// The connection's round-trip time — the latency every
-    /// request/response pair on this stream pays. Lets the event-loop
-    /// scheduler cross-check [`crate::ConnectPoll`] hints against the
-    /// stream the blocking connect actually produced.
+    /// request/response pair on this stream pays; [`crate::ConnectPoll`]
+    /// hints can be checked against it.
     pub fn rtt_micros(&self) -> u32 {
         self.rtt_micros
     }

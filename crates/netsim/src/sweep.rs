@@ -13,6 +13,7 @@
 use crate::cidr::{Blocklist, Cidr, Ipv4};
 use crate::internet::{Internet, Occupancy};
 use rand::Rng;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The zmap prime: smallest prime larger than 2³².
@@ -296,11 +297,9 @@ impl Iterator for PermutedRange {
 /// probing, or stats: the raw `(walk_step, addr)` sequence that both
 /// sweep drivers share.
 ///
-/// [`SynScanner::sweep_shard`] consumes it eagerly; the event-loop
-/// engine holds one as a *pausable cursor* so admission can stall under
-/// backpressure (bounded in-flight window) and a `SweepCheckpoint` can
-/// record exactly how far the walk got. Walk steps are globally unique
-/// and increasing per shard — the merge key for both engines.
+/// [`SynScanner::sweep_shard`] walks one strided shard; each chunk a
+/// [`SweepChunks`] hands out is one too. Walk steps are globally unique
+/// and increasing per shard — the key sharded sweeps merge on.
 #[derive(Debug, Clone)]
 pub struct SweepWalk {
     shard: Option<PermutedShard>,
@@ -356,6 +355,8 @@ pub struct SweepChunks {
     blocks: Vec<(Ipv4, u64)>,
     chunk: u64,
     next: AtomicU64,
+    /// Claims stop before this walk step.
+    end: u64,
 }
 
 impl SweepChunks {
@@ -369,6 +370,19 @@ impl SweepChunks {
             blocks,
             chunk: order.div_ceil(SWEEP_CHUNKS).max(MIN_CHUNK_STEPS),
             next: AtomicU64::new(0),
+            end: order,
+        }
+    }
+
+    /// The same walk restricted to the steps in `steps` (clamped to the
+    /// walk): a resumed sweep skips the steps an aborted one settled,
+    /// and a recount of those steps walks exactly them.
+    pub fn within(self, steps: Range<u64>) -> Self {
+        let end = steps.end.min(self.end);
+        SweepChunks {
+            next: AtomicU64::new(steps.start),
+            end,
+            ..self
         }
     }
 
@@ -376,8 +390,8 @@ impl SweepChunks {
     pub fn claim(&self) -> Option<SweepWalk> {
         let range = self.range.as_ref()?;
         let lo = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        (lo < range.order()).then(|| SweepWalk {
-            shard: Some(range.steps(lo, lo + self.chunk)),
+        (lo < self.end).then(|| SweepWalk {
+            shard: Some(range.steps(lo, (lo + self.chunk).min(self.end))),
             blocks: self.blocks.clone(),
         })
     }
@@ -517,10 +531,9 @@ impl<'a> SynScanner<'a> {
     /// Clock-neutral: the caller accounts the sweep duration once from
     /// the summed stats (see [`Self::sweep_each`]); shard stats are
     /// disjoint and sum to the single-shard totals. That split is what
-    /// makes cancellation safe for the non-blocking engine: an aborted
-    /// sweep simply never reaches the accounting step, so no pacing (and
-    /// no in-flight probe's fork time) ever leaks onto the campaign
-    /// clock.
+    /// makes cancellation safe: an aborted sweep simply never reaches
+    /// the accounting step, so no pacing (and no discarded probe's fork
+    /// time) ever leaks onto the campaign clock.
     pub fn sweep_shard<R, F>(
         &self,
         universe: &[Cidr],
@@ -541,27 +554,34 @@ impl<'a> SynScanner<'a> {
     }
 
     /// A sweep thread's share of `chunks`: claims chunks until none are
-    /// left and sweeps each like [`Self::sweep_shard`] sweeps its shard.
-    /// Every thread of one sweep passes the same `chunks`; their stats
-    /// sum to the single-shard totals, and each thread's walk steps
-    /// increase, so N threads merge back into discovery order. Clock-
-    /// neutral, like [`Self::sweep_shard`].
-    pub fn sweep_chunks<F>(&self, chunks: &SweepChunks, mut on_responsive: F) -> SweepStats
+    /// left, or until `stop` returns true before a claim, and sweeps
+    /// each like [`Self::sweep_shard`] sweeps its shard. A claimed chunk
+    /// is always swept to its end. Every thread of one sweep passes the
+    /// same `chunks`; their stats sum to the single-shard totals, and
+    /// each thread's walk steps increase, so N threads merge back into
+    /// discovery order. Clock-neutral, like [`Self::sweep_shard`].
+    pub fn sweep_chunks<S, F>(
+        &self,
+        chunks: &SweepChunks,
+        stop: S,
+        mut on_responsive: F,
+    ) -> SweepStats
     where
+        S: Fn() -> bool,
         F: FnMut(u64, Ipv4),
     {
         let occupancy = self.internet.occupancy();
         let mut stats = SweepStats::default();
-        while let Some(walk) = chunks.claim() {
+        while !stop() {
+            let Some(walk) = chunks.claim() else {
+                break;
+            };
             stats = stats + self.classify(walk, &occupancy, &mut on_responsive);
         }
         stats
     }
 
     /// The per-address classification (blocklist → probe → listener).
-    /// The walk itself is shared with the event-loop engine via
-    /// `SweepWalk`; any second driver must replicate this classification
-    /// in exactly this order for the stats to stay byte-identical.
     fn classify<F>(
         &self,
         walk: SweepWalk,
@@ -919,8 +939,11 @@ mod tests {
                     .map(|_| {
                         s.spawn(|| {
                             let mut seen = Vec::new();
-                            let stats =
-                                scanner.sweep_chunks(&chunks, |pos, addr| seen.push((pos, addr)));
+                            let stats = scanner.sweep_chunks(
+                                &chunks,
+                                || false,
+                                |pos, addr| seen.push((pos, addr)),
+                            );
                             (stats, seen)
                         })
                     })
@@ -944,6 +967,24 @@ mod tests {
         }
         let empty = SweepChunks::new(&[], &mut StdRng::seed_from_u64(5));
         assert!(empty.claim().is_none());
+
+        // A restricted walk covers exactly its steps; a stopped thread
+        // claims nothing.
+        let (lo, hi) = (reference[3].0, reference[reference.len() - 3].0);
+        let within = SweepChunks::new(&[a, b], &mut StdRng::seed_from_u64(5)).within(lo..hi);
+        let mut seen = Vec::new();
+        let stats = scanner.sweep_chunks(&within, || false, |pos, addr| seen.push((pos, addr)));
+        let want: Vec<(u64, Ipv4)> = reference
+            .iter()
+            .copied()
+            .filter(|&(pos, _)| (lo..hi).contains(&pos))
+            .collect();
+        assert_eq!(seen, want);
+        assert_eq!(stats.responsive, want.len() as u64);
+        let chunks = SweepChunks::new(&[a, b], &mut StdRng::seed_from_u64(5));
+        let stopped = scanner.sweep_chunks(&chunks, || true, |_, _| panic!("stopped"));
+        assert_eq!(stopped, SweepStats::default());
+        assert!(chunks.claim().is_some(), "a stopped thread claims nothing");
     }
 
     #[test]

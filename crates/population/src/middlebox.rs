@@ -163,7 +163,7 @@ pub struct MiddleboxPlan {
 impl MiddleboxPlan {
     /// Plans hostility over `population`, deterministically from
     /// `seed`. The same `(population, config, seed)` always yields the
-    /// same plan — worker counts, engines, and probe order never enter.
+    /// same plan — worker counts and probe order never enter.
     pub fn plan(population: &Population, config: &MiddleboxConfig, seed: u64) -> Self {
         let mut faults = BTreeMap::new();
         for host in &population.hosts {

@@ -81,8 +81,8 @@ pub enum WeekOutcome {
     Aborted(Box<WeekCheckpoint>),
 }
 
-/// A week frozen mid-sweep: the records emitted so far plus the scan
-/// engine's [`SweepCheckpoint`]. Resuming prepends the partial records,
+/// A week frozen mid-sweep: the records emitted so far plus the
+/// scan's [`SweepCheckpoint`]. Resuming prepends the partial records,
 /// so a stitched [`WeeklyScan`] is byte-identical to an uninterrupted
 /// one (modulo the cert-interner `sightings` telemetry — see
 /// [`SweepCheckpoint`]).
@@ -92,7 +92,7 @@ pub struct WeekCheckpoint {
     pub week: u32,
     /// Records emitted before the abort, in discovery order.
     pub records: Vec<ScanRecord>,
-    /// The scan engine's resume point.
+    /// The scan's resume point.
     pub sweep: SweepCheckpoint,
 }
 
@@ -151,41 +151,20 @@ impl Campaign {
     where
         F: FnOnce(u32),
     {
-        let week = self.weeks_run;
-        let target = self.epoch_micros + u64::from(week) * self.config.week_seconds * 1_000_000;
-        let clock = self.scanner.internet().clock();
-        assert!(
-            week == 0 || clock.now_micros() < target,
-            "week {week} campaign would start late: the previous sweep overran the \
-             {}s cadence",
-            self.config.week_seconds
-        );
-        clock.advance_to_micros(target);
-        evolve(week);
-        // A fresh permutation per week (the paper re-randomized each
-        // campaign), still a pure function of (seed, week).
-        let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut records = Vec::new();
-        let summary = self
-            .scanner
-            .scan_with_certs(universe, week_seed, &self.certs, |r| records.push(r));
-        self.weeks_run += 1;
-        WeeklyScan {
-            week,
-            summary,
-            records,
+        match self.run_week_resumable(universe, seed, evolve, &CancelToken::new()) {
+            WeekOutcome::Complete(scan) => scan,
+            WeekOutcome::Aborted(_) => unreachable!("a fresh CancelToken never cancels"),
         }
     }
 
-    /// [`Self::run_week`] on the event-driven engine with a
-    /// cancellation hook: the week can be aborted at any record
-    /// boundary and finished later with [`Self::resume_week`].
+    /// [`Self::run_week`] with a cancellation hook: the week can be
+    /// aborted at any record boundary and finished later with
+    /// [`Self::resume_week`].
     ///
-    /// Epoch pinning, evolution, and the week-derived seed are
-    /// identical to [`Self::run_week`]; an abort happens *after* both
-    /// the epoch jump and `evolve`, so the world is already in its
-    /// week-`k` state and must not be evolved again on resume.
-    /// `weeks_run` only advances when the week completes.
+    /// An abort happens *after* both the epoch jump and `evolve`, so the
+    /// world is already in its week-`k` state and must not be evolved
+    /// again on resume. `weeks_run` only advances when the week
+    /// completes.
     pub fn run_week_resumable<F>(
         &mut self,
         universe: &[Cidr],
@@ -207,8 +186,7 @@ impl Campaign {
         );
         clock.advance_to_micros(target);
         evolve(week);
-        let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.finish_week(universe, week, week_seed, Vec::new(), None, cancel)
+        self.finish_week(universe, seed, week, Vec::new(), None, cancel)
     }
 
     /// Continues a week aborted by [`Self::run_week_resumable`] (or a
@@ -230,36 +208,37 @@ impl Campaign {
             "checkpoint is for week {week} but the campaign is at week {}",
             self.weeks_run
         );
-        let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.finish_week(
             universe,
+            seed,
             week,
-            week_seed,
             checkpoint.records,
             Some(checkpoint.sweep),
             cancel,
         )
     }
 
-    /// Shared tail of the resumable paths: runs (or continues) the
-    /// event-loop scan, stitching `records` in front of whatever it
-    /// emits.
+    /// Shared tail of the weekly paths: runs (or continues) the week's
+    /// scan, stitching `records` in front of whatever it emits.
     fn finish_week(
         &mut self,
         universe: &[Cidr],
+        seed: u64,
         week: u32,
-        week_seed: u64,
         mut records: Vec<ScanRecord>,
         resume: Option<SweepCheckpoint>,
         cancel: &CancelToken,
     ) -> WeekOutcome {
+        // A fresh permutation per week (the paper re-randomized each
+        // campaign), still a pure function of (seed, week).
+        let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let outcome =
             self.scanner
                 .scan_resumable(universe, week_seed, &self.certs, resume, cancel, |r| {
                     records.push(r)
                 });
         match outcome {
-            ScanOutcome::Complete { summary, .. } => {
+            ScanOutcome::Complete { summary } => {
                 self.weeks_run += 1;
                 WeekOutcome::Complete(WeeklyScan {
                     week,

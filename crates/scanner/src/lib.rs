@@ -11,20 +11,21 @@
 //!   default port, the probe-stage ladder, the connect-error taxonomy,
 //!   and the typed [`ProtocolPayload`] for one protocol;
 //!   [`SuiteRegistry`] maps ports to suites so one campaign sweeps
-//!   several protocols over the same engines;
+//!   several protocols over the same engine;
 //! * [`url`] — `opc.tcp://host:port/path` parsing and normalization,
 //!   the canonical form referral deduplication relies on;
-//! * [`pipeline`] — the campaign driver: zmap-style sweep streamed
-//!   straight into the probe stack, a deterministic breadth-first
-//!   referral queue re-probing FindServers-announced `host:port`
-//!   targets after the sweep, with records flowing through a bounded
-//!   channel ([`Scanner::scan_stream`]) so memory stays constant at
-//!   Internet scale;
-//! * [`sched`] — the event-driven scan core: a hierarchical
-//!   [`TimerWheel`] multiplexing per-host probe state machines on one
-//!   thread, [`CancelToken`] cooperative cancellation, and
-//!   [`SweepCheckpoint`] abort/resume — byte-identical to the threaded
-//!   engine per seed at any in-flight cap;
+//! * [`pipeline`] — the campaign driver, one engine for every entry
+//!   point: zmap-style sweep streamed straight into the probe stack, a
+//!   deterministic breadth-first referral queue re-probing
+//!   FindServers-announced `host:port` targets after the sweep, with
+//!   records flowing through a bounded channel
+//!   ([`Scanner::scan_stream`]) so memory stays constant at Internet
+//!   scale;
+//! * [`sched`] — the engine's scheduling core: worker threads claiming
+//!   sweep chunks or referral targets, an ordered merge that makes the
+//!   output byte-identical per seed at any worker count,
+//!   [`CancelToken`] cooperative cancellation, and [`SweepCheckpoint`]
+//!   abort/resume;
 //! * [`campaign`] — the longitudinal driver: N weekly sweeps on one
 //!   strictly advancing clock, an evolve hook between campaigns, and a
 //!   study-wide shared [`CertStore`].
@@ -47,15 +48,13 @@ pub use pipeline::{FaultStats, ReferralStats, ScanOutcome, ScanStream, ScanSumma
 // individual stages are an implementation detail of a suite's ladder.
 pub use probe::{
     default_stack, ConfigError, Probe, ProbeContext, ProbeOutcome, RetryPolicy, ScanConfig,
-    ScanConfigBuilder, ScanEngine,
+    ScanConfigBuilder,
 };
 pub use record::{
     DiscoveredVia, EndpointSnapshot, HostOutcome, OpcUaPayload, ProtocolPayload, ScanRecord,
     SessionOutcome, TraversalSummary, UatTlsPayload,
 };
-pub use sched::{
-    CancelGuard, CancelToken, EngineStats, PendingUrl, SweepCheckpoint, TimerId, TimerWheel,
-};
+pub use sched::{CancelGuard, CancelToken, PendingUrl, SweepCheckpoint};
 pub use suite::{
     classify_connect_error, OpcUaSuite, ProtocolSuite, SuiteRegistry, UatTlsSuite,
     VendorFingerprintProbe, DEFAULT_UATLS_PORT,

@@ -8,17 +8,21 @@
 //! a callback on the caller's thread and [`Scanner::scan_collect`] gathers
 //! everything into a `Vec`.
 //!
-//! ## Sharded scanning
+//! ## One engine
 //!
-//! [`ScanConfig::workers`] shards the campaign across N threads: the
-//! zmap permutation (a function of the seed alone) is cut into chunks of
-//! consecutive walk steps ([`netsim::SweepChunks`]), and each worker
-//! claims the next unclaimed chunk whenever it finishes one, running its
-//! own probe stack, so a worker on a slower core simply sweeps less.
-//! Records carry their global permutation step, each worker's stream is
-//! sorted by it, and the coordinator merges the N streams back into
-//! exact discovery order, so the output is **byte-identical for a fixed
-//! seed regardless of worker count** (and of which worker probed what).
+//! Every scan entry point runs [`Scanner::scan_resumable`]: one phase
+//! (sweep, then referral levels) per registered suite, each driven
+//! through the worker pool and ordered merge of [`crate::sched`].
+//! [`ScanConfig::workers`] threads claim chunks of consecutive walk
+//! steps of the zmap permutation (a function of the seed alone,
+//! [`netsim::SweepChunks`]) and probe the hosts they find, so a worker
+//! on a slower core simply sweeps less; for a referral level they claim
+//! its targets one by one. Records carry their merge key — the global
+//! walk step, or the index within the level — and the coordinator
+//! emits them in exactly that order, so the output is **byte-identical
+//! for a fixed seed regardless of worker count** (and of which worker
+//! probed what), and an aborted scan resumes from its last emitted
+//! record.
 //!
 //! Two invariants make that determinism hold:
 //!
@@ -33,39 +37,36 @@
 //!
 //! ## Referral following
 //!
-//! After the sweep, the pipeline follows FindServers referrals
+//! After each sweep, the pipeline follows FindServers referrals
 //! (the paper's 2020-05-04 scanner change, which surfaced >1000 servers
 //! hidden behind discovery servers on non-default ports): referred URLs
 //! are normalized through [`crate::url::OpcUrl`], deduplicated against
-//! everything the sweep already covered, checked against the blocklist,
+//! everything the phase already covered, checked against the blocklist,
 //! and probed breadth-first level by level up to
-//! [`ScanConfig::referral_depth`] /  [`ScanConfig::referral_budget`].
+//! [`ScanConfig::referral_depth`] / [`ScanConfig::referral_budget`].
 //! Referral records carry [`DiscoveredVia::Referral`] provenance and are
 //! emitted after the sweep records, in deterministic queue order — so the
 //! full output stream stays byte-identical per seed at any worker count.
 
-use crate::probe::{Probe, ProbeContext, ProbeOutcome, ScanConfig, ScanEngine};
+use crate::probe::{Probe, ProbeContext, ProbeOutcome, ScanConfig};
 use crate::record::{DiscoveredVia, ScanRecord};
-use crate::sched::{
-    CancelToken, EngineRun, EngineStats, EventLoop, Job, PendingUrl, SweepCheckpoint,
-};
+use crate::sched::{ordered_pool, CancelToken, PendingUrl, SweepCheckpoint};
 use crate::suite::{OpcUaSuite, ProtocolSuite};
 use crate::url::OpcUrl;
 use netsim::{
-    Blocklist, Cidr, Internet, Ipv4, Occupancy, SweepChunks, SweepConfig, SweepStats, SweepWalk,
-    SynScanner, VirtualClock,
+    Blocklist, Cidr, Internet, Ipv4, SweepChunks, SweepConfig, SweepStats, SynScanner, VirtualClock,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-// ua-lint: allow(unordered-iteration) -- dedup membership only; checkpoint export sorts before emitting
-use std::collections::HashSet;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use ua_crypto::{CertStore, CertStoreStats};
 
-/// Accounting of the referral-following phase. Every announced URL ends
-/// up in exactly one disposition bucket:
+/// Accounting of the referral-following phases. Every announced URL
+/// ends up in exactly one disposition bucket:
 /// `unfollowable + already_probed + blocklisted + truncated + followed
 /// == urls_announced`, and `followed == dead + opcua_hosts +
 /// non_opcua_hosts`.
@@ -95,24 +96,6 @@ pub struct ReferralStats {
     /// Deepest referral chain actually probed (0 when nothing was
     /// followed).
     pub max_depth: u32,
-}
-
-impl ReferralStats {
-    /// Folds another phase's counters in. Multi-suite campaigns run one
-    /// referral phase per referral-capable suite and sum them; depths
-    /// take the max (the deepest chain any suite followed).
-    pub fn absorb(&mut self, other: ReferralStats) {
-        self.urls_announced += other.urls_announced;
-        self.unfollowable += other.unfollowable;
-        self.already_probed += other.already_probed;
-        self.blocklisted += other.blocklisted;
-        self.truncated += other.truncated;
-        self.followed += other.followed;
-        self.dead += other.dead;
-        self.opcua_hosts += other.opcua_hosts;
-        self.non_opcua_hosts += other.non_opcua_hosts;
-        self.max_depth = self.max_depth.max(other.max_depth);
-    }
 }
 
 /// Connect-phase fault accounting across a campaign: one
@@ -198,12 +181,8 @@ pub struct ScanSummary {
 pub enum ScanOutcome {
     /// The scan ran to completion.
     Complete {
-        /// Campaign summary, byte-identical to the threaded engine's.
+        /// Campaign summary.
         summary: ScanSummary,
-        /// Event-loop scheduler telemetry for this call (timer counts,
-        /// in-flight high-water mark). Not part of the summary because
-        /// the summary must not depend on the engine.
-        engine: EngineStats,
     },
     /// Cancellation was observed at a safe point. Pass the checkpoint
     /// back to [`Scanner::scan_resumable`] to continue; the stitched
@@ -212,14 +191,6 @@ pub enum ScanOutcome {
         /// Where to pick the scan back up.
         checkpoint: Box<SweepCheckpoint>,
     },
-}
-
-/// One referral URL waiting to be classified: who announced it, what it
-/// said, and at which chain depth it would be probed.
-struct PendingReferral {
-    from: Ipv4,
-    url: String,
-    depth: u32,
 }
 
 /// A classified, accepted referral probe target.
@@ -321,6 +292,43 @@ impl Scanner {
         (record, clock.now_micros().saturating_sub(start))
     }
 
+    /// Probes one referral target like [`Self::probe_host_at_epoch`];
+    /// `None` for a dead target (nothing listening), which is charged
+    /// exactly what the failed connect costs under the simulator's TCP
+    /// model — one RTT for a refused port on a live host, a full SYN
+    /// timeout when no host answers — measured on a throwaway fork.
+    fn probe_referral(
+        &self,
+        epoch: &VirtualClock,
+        certs: &CertStore,
+        suite: &Arc<dyn ProtocolSuite>,
+        stack: &mut [Box<dyn Probe>],
+        target: &ReferralTarget,
+        seed: u64,
+    ) -> (Option<ScanRecord>, u64) {
+        let ReferralTarget {
+            addr,
+            port,
+            from,
+            depth,
+        } = *target;
+        if !self.internet.has_listener(addr, port) {
+            let clock = epoch.fork();
+            let start = clock.now_micros();
+            let _ = self.internet.with_clock(clock.clone()).connect(
+                self.config.scanner_address,
+                addr,
+                port,
+            );
+            return (None, clock.now_micros().saturating_sub(start));
+        }
+        let via = DiscoveredVia::Referral { from, depth };
+        let seed = referral_seed(seed, addr, port);
+        let (record, micros) =
+            self.probe_host_at_epoch(epoch, certs, suite, stack, addr, port, via, seed);
+        (Some(record), micros)
+    }
+
     /// Runs the full campaign synchronously, handing each record to
     /// `sink` as soon as its host is fully probed — in discovery order,
     /// which is identical for every [`ScanConfig::workers`] setting.
@@ -328,7 +336,7 @@ impl Scanner {
     where
         F: FnMut(ScanRecord),
     {
-        // One certificate interner per campaign, shared by all shards:
+        // One certificate interner per campaign, shared by all workers:
         // interned handles are pure functions of the DER bytes, so the
         // worker-count byte-identity guarantee survives interning.
         self.scan_with_certs(universe, seed, &CertStore::new(), sink)
@@ -345,153 +353,35 @@ impl Scanner {
         universe: &[Cidr],
         seed: u64,
         certs: &CertStore,
-        mut sink: F,
+        sink: F,
     ) -> ScanSummary
     where
         F: FnMut(ScanRecord),
     {
-        if self.config.engine == ScanEngine::EventLoop {
-            // The event-loop engine is the resumable path run to
-            // completion; a fresh token never cancels.
-            return match self.scan_resumable(universe, seed, certs, None, &CancelToken::new(), sink)
-            {
-                ScanOutcome::Complete { summary, .. } => summary,
-                ScanOutcome::Aborted { .. } => {
-                    unreachable!("scan with a fresh CancelToken cannot abort")
-                }
-            };
+        match self.scan_resumable(universe, seed, certs, None, &CancelToken::new(), sink) {
+            ScanOutcome::Complete { summary } => summary,
+            ScanOutcome::Aborted { .. } => unreachable!("a fresh CancelToken never cancels"),
         }
-        let mut summary = ScanSummary {
-            started_unix: self.internet.clock().now_unix_seconds(),
-            ..ScanSummary::default()
-        };
-        // Every probed host gets a clock forked from this frozen epoch,
-        // so records cannot observe each other through shared time.
-        let epoch = self.internet.clock().fork();
-        let workers = self.config.effective_workers();
-        let mut probe_micros: u64 = 0;
-        let mut opcua_hosts: u64 = 0;
-        let mut non_opcua_hosts: u64 = 0;
-        let mut fault_stats = FaultStats::default();
-        let mut emit = |record: ScanRecord| {
-            if record.speaks() {
-                opcua_hosts += 1;
-            } else {
-                non_opcua_hosts += 1;
-            }
-            fault_stats.observe(&record);
-            sink(record);
-        };
-        // One full phase (sweep, then referral following for suites that
-        // have it) per registered suite, in ascending port order. Phases
-        // are independent — per-phase frontier and dedup state — so a
-        // mixed registry emits exactly the concatenation of the
-        // single-suite runs.
-        let mut sweep_total = SweepStats::default();
-        let mut referral_total = ReferralStats::default();
-        for (sweep_port, suite) in self.config.effective_suites() {
-            let follows = suite.follows_referrals();
-            // Referral URLs harvested from emitted records, in emission
-            // order — the deterministic seed of the referral queue.
-            let mut frontier: Vec<PendingReferral> = Vec::new();
-            let phase_sweep = {
-                let mut sweep_emit = |record: ScanRecord| {
-                    if follows {
-                        collect_referrals(suite.as_ref(), &record, &mut frontier);
-                    }
-                    emit(record);
-                };
-                if workers == 1 {
-                    // Single shard runs inline: the sweep streams
-                    // responsive addresses straight into the probe
-                    // stack, no threads.
-                    let syn = SynScanner::new(
-                        &self.internet,
-                        &self.blocklist,
-                        self.sweep_config(sweep_port),
-                    );
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut stack = suite.stack();
-                    syn.sweep_shard(universe, &mut rng, 0, 1, |_pos, addr| {
-                        let (record, micros) = self.probe_host_at_epoch(
-                            &epoch,
-                            certs,
-                            &suite,
-                            &mut stack,
-                            addr,
-                            sweep_port,
-                            DiscoveredVia::Sweep,
-                            seed ^ u64::from(addr.0),
-                        );
-                        probe_micros += micros;
-                        sweep_emit(record);
-                    })
-                } else {
-                    self.scan_sharded(
-                        universe,
-                        seed,
-                        workers,
-                        &epoch,
-                        certs,
-                        sweep_port,
-                        &suite,
-                        &mut probe_micros,
-                        &mut sweep_emit,
-                    )
-                }
-            };
-            sweep_total = sweep_total + phase_sweep;
-            if follows {
-                referral_total.absorb(self.follow_referrals(
-                    universe,
-                    seed,
-                    &epoch,
-                    certs,
-                    sweep_port,
-                    &suite,
-                    frontier,
-                    &mut probe_micros,
-                    &mut emit,
-                ));
-            }
-        }
-        summary.sweep = sweep_total;
-        summary.referrals = referral_total;
-        summary.opcua_hosts = opcua_hosts;
-        summary.non_opcua_hosts = non_opcua_hosts;
-        summary.faults = fault_stats;
-        summary.certs = certs.stats();
-        // Account campaign time once, from order-independent sums: SYN
-        // pacing in micros — integer-second division would stall the
-        // clock entirely for campaigns shorter than a second of probes —
-        // plus aggregate probe latency.
-        let paced_probes = summary.sweep.probes_sent + summary.referrals.followed;
-        let pacing_micros =
-            paced_probes.saturating_mul(1_000_000) / self.config.probes_per_second.max(1);
-        self.internet.clock().advance_micros(pacing_micros);
-        self.internet.clock().advance_micros(probe_micros);
-        summary.finished_unix = self.internet.clock().now_unix_seconds();
-        summary
     }
 
-    /// Runs the campaign on the event-driven engine (see
-    /// [`crate::sched`]) with cooperative cancellation and
-    /// deterministic abort/resume. Always uses the event loop
-    /// regardless of [`ScanConfig::engine`] — the threaded engine has
-    /// no checkpointable safe points.
+    /// Runs the campaign with cooperative cancellation and
+    /// deterministic abort/resume; every other entry point runs this
+    /// with a token that never cancels.
     ///
     /// * `resume: None` starts a fresh scan at the current campaign
-    ///   clock instant; `Some(checkpoint)` continues an aborted one
-    ///   (same scanner, same universe, same seed — asserted).
-    /// * `cancel` is polled between timer firings during the sweep and
-    ///   at referral-level boundaries. On cancellation the scan returns
-    ///   [`ScanOutcome::Aborted`] *without* advancing the campaign
-    ///   clock: in-flight probes are dropped fork-clocks and all, and
-    ///   time is only accounted when a scan completes.
+    ///   clock instant; `Some(checkpoint)` continues an aborted one. It
+    ///   must come from the same scanner over the same universe; only
+    ///   the seed is checked (it must equal the checkpoint's).
+    /// * `cancel` is checked after every emitted sweep record, polled
+    ///   by each sweep worker before it claims a chunk, and checked at
+    ///   referral-level boundaries (levels are atomic). On cancellation
+    ///   the scan returns [`ScanOutcome::Aborted`] at its last emitted
+    ///   record *without* advancing the campaign clock: probes not yet
+    ///   emitted are dropped fork-clocks and all, and time is only
+    ///   accounted when a scan completes.
     /// * Records emitted before an abort are final. The concatenation
     ///   of the aborted run's records and the resumed run's records is
-    ///   byte-identical to an uninterrupted run (and to the threaded
-    ///   engine at any worker count).
+    ///   byte-identical to an uninterrupted run at any worker count.
     pub fn scan_resumable<F>(
         &self,
         universe: &[Cidr],
@@ -504,317 +394,194 @@ impl Scanner {
     where
         F: FnMut(ScanRecord),
     {
-        // Rebuild (or initialize) the scan state. Everything an abort
-        // checkpointed is carried forward; a fresh scan starts from the
-        // shared campaign clock like the threaded engine does.
-        let mut sweep_done = false;
-        let mut suite_cursor: usize = 0;
-        let mut resume_filter: Option<ResumeFilter> = None;
-        let mut carried_sweep = SweepStats::default();
-        let mut opcua_hosts: u64 = 0;
-        let mut non_opcua_hosts: u64 = 0;
-        let mut probe_micros: u64 = 0;
-        let mut frontier: Vec<PendingReferral> = Vec::new();
-        let mut ref_stats = ReferralStats::default();
-        let mut fault_stats = FaultStats::default();
-        // ua-lint: allow(unordered-iteration) -- dedup membership; checkpoint_probed sorts before export
-        let mut probed: HashSet<(u32, u16)> = HashSet::new();
-        let (epoch, started_unix) = match resume {
-            None => (
-                self.internet.clock().fork(),
-                self.internet.clock().now_unix_seconds(),
-            ),
+        let mut cp = match resume {
             Some(cp) => {
                 assert_eq!(cp.seed, seed, "resume must use the checkpoint's seed");
-                sweep_done = cp.sweep_done;
-                suite_cursor = cp.suite_cursor;
-                if !cp.sweep_done {
-                    resume_filter = Some(ResumeFilter {
-                        next_step: cp.next_step,
-                        pending: cp.in_flight.iter().copied().collect(),
-                    });
-                }
-                carried_sweep = cp.sweep_stats;
-                opcua_hosts = cp.opcua_hosts;
-                non_opcua_hosts = cp.non_opcua_hosts;
-                probe_micros = cp.probe_micros;
-                frontier = cp
-                    .frontier
-                    .into_iter()
-                    .map(|p| PendingReferral {
-                        from: p.from,
-                        url: p.url,
-                        depth: p.depth,
-                    })
-                    .collect();
-                ref_stats = cp.referral_stats;
-                fault_stats = cp.fault_stats;
-                probed = cp
-                    .probed_referrals
-                    .iter()
-                    .map(|&(addr, port)| (addr.0, port))
-                    .collect();
-                (
-                    VirtualClock::starting_at_micros(cp.epoch_micros),
-                    cp.started_unix,
-                )
+                cp
+            }
+            None => {
+                let clock = self.internet.clock();
+                SweepCheckpoint::start(seed, clock.now_micros(), clock.now_unix_seconds())
             }
         };
-        let epoch_micros = epoch.now_micros();
-        let mut engine = EventLoop::new(&self.internet, &self.config, certs, &epoch);
-        let checkpoint_frontier = |frontier: &[PendingReferral]| {
-            frontier
-                .iter()
-                .map(|p| PendingUrl {
-                    from: p.from,
-                    url: p.url.clone(),
-                    depth: p.depth,
-                })
-                .collect()
+        // Every probed host gets a clock forked from this frozen epoch,
+        // so records cannot observe each other through shared time.
+        let epoch = VirtualClock::starting_at_micros(cp.epoch_micros);
+        let mut emit = |cp: &mut SweepCheckpoint, suite: &dyn ProtocolSuite, record: ScanRecord| {
+            if record.speaks() {
+                cp.opcua_hosts += 1;
+            } else {
+                cp.non_opcua_hosts += 1;
+            }
+            cp.fault_stats.observe(&record);
+            if suite.follows_referrals() {
+                collect_referrals(suite, &record, &mut cp.frontier);
+            }
+            sink(record);
+            cancel.notch();
         };
-        // ua-lint: allow(unordered-iteration) -- sorted here before it ever reaches a checkpoint
-        let checkpoint_probed = |probed: &HashSet<(u32, u16)>| {
-            let mut v: Vec<(Ipv4, u16)> = probed.iter().map(|&(a, p)| (Ipv4(a), p)).collect();
-            v.sort_by_key(|&(a, p)| (a.0, p));
-            v
-        };
-
         // One full phase (sweep, then referral levels for suites that
-        // have them) per registered suite, in ascending port order —
-        // mirroring the threaded engine exactly. Phases already behind
-        // `suite_cursor` were completed by the aborted run.
+        // have them) per registered suite, in ascending port order.
+        // Phases behind `suite_cursor` are complete.
         let suites = self.config.effective_suites();
-        let start_cursor = suite_cursor.min(suites.len());
-        let mut sweep_total = carried_sweep;
-        for (idx, (sweep_port, suite)) in suites.iter().enumerate().skip(start_cursor) {
-            let sweep_port = *sweep_port;
-            engine.set_suite(Arc::clone(suite));
-            let follows = suite.follows_referrals();
-            let phase_sweep_done = idx == start_cursor && sweep_done;
-            if !phase_sweep_done {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut jobs = SweepJobs {
-                    walk: SweepWalk::new(universe, &mut rng, 0, 1),
-                    occupancy: self.internet.occupancy(),
-                    blocklist: &self.blocklist,
-                    port: sweep_port,
-                    seed,
-                    stats: SweepStats::default(),
-                    cursor: 0,
-                    resume: if idx == start_cursor {
-                        resume_filter.take()
-                    } else {
-                        None
-                    },
+        while let Some((port, suite)) = suites.get(cp.suite_cursor) {
+            let port = *port;
+            if !cp.sweep_done {
+                let from = cp.next_step;
+                let walk = |steps: Range<u64>| {
+                    SweepChunks::new(universe, &mut StdRng::seed_from_u64(seed)).within(steps)
                 };
-                let run = engine.run(&mut jobs, Some(cancel), &mut |_, record, micros| {
-                    probe_micros += micros;
-                    // ua-lint: allow(panic-hygiene) -- sweep admission only emits jobs with a listener
-                    let record = record.expect("sweep jobs always have a listener");
-                    if record.speaks() {
-                        opcua_hosts += 1;
-                    } else {
-                        non_opcua_hosts += 1;
-                    }
-                    fault_stats.observe(&record);
-                    if follows {
-                        collect_referrals(suite.as_ref(), &record, &mut frontier);
-                    }
-                    sink(record);
-                    cancel.notch();
-                });
-                match run {
-                    EngineRun::Cancelled { unemitted } => {
-                        return ScanOutcome::Aborted {
-                            checkpoint: Box::new(SweepCheckpoint {
-                                seed,
-                                epoch_micros,
-                                started_unix,
-                                suite_cursor: idx,
-                                sweep_done: false,
-                                next_step: jobs.cursor,
-                                in_flight: unemitted,
-                                sweep_stats: sweep_total + jobs.stats,
-                                opcua_hosts,
-                                non_opcua_hosts,
-                                probe_micros,
-                                frontier: checkpoint_frontier(&frontier),
-                                referral_stats: ref_stats,
-                                fault_stats,
-                                probed_referrals: checkpoint_probed(&probed),
-                            }),
-                        };
-                    }
-                    EngineRun::Complete => sweep_total = sweep_total + jobs.stats,
+                let chunks = walk(from..u64::MAX);
+                let syn = SynScanner::new(&self.internet, &self.blocklist, self.sweep_config(port));
+                let shares = ordered_pool(
+                    self.config.effective_workers(),
+                    self.config.effective_channel_capacity(),
+                    |send| {
+                        let mut stack = suite.stack();
+                        syn.sweep_chunks(
+                            &chunks,
+                            || cancel.is_cancelled(),
+                            |step, addr| {
+                                let via = DiscoveredVia::Sweep;
+                                let seed = seed ^ u64::from(addr.0);
+                                send(
+                                    step,
+                                    self.probe_host_at_epoch(
+                                        &epoch, certs, suite, &mut stack, addr, port, via, seed,
+                                    ),
+                                );
+                            },
+                        )
+                    },
+                    |step, (record, micros)| {
+                        cp.probe_micros += micros;
+                        cp.next_step = step + 1;
+                        emit(&mut cp, suite.as_ref(), record);
+                        !cancel.is_cancelled()
+                    },
+                );
+                if cancel.is_cancelled() {
+                    // Workers may have swept past the last emitted
+                    // record: count the settled steps again, probe-free.
+                    let settled = walk(from..cp.next_step);
+                    cp.sweep_stats =
+                        cp.sweep_stats + syn.sweep_chunks(&settled, || false, |_, _| {});
+                    return ScanOutcome::Aborted {
+                        checkpoint: Box::new(cp),
+                    };
                 }
+                cp.sweep_stats = shares.into_iter().fold(cp.sweep_stats, |acc, s| acc + s);
+                cp.sweep_done = true;
+                cp.next_step = 0;
             }
-
-            // Referral phase: levels are atomic (cancellation lands on
-            // level boundaries), targets within a level run on the wheel.
-            // Suites without referral following skip straight to the
-            // next phase — their frontier is never populated.
-            if follows {
+            if suite.follows_referrals() {
                 loop {
                     if cancel.is_cancelled() {
                         return ScanOutcome::Aborted {
-                            checkpoint: Box::new(SweepCheckpoint {
-                                seed,
-                                epoch_micros,
-                                started_unix,
-                                suite_cursor: idx,
-                                sweep_done: true,
-                                next_step: 0,
-                                in_flight: Vec::new(),
-                                sweep_stats: sweep_total,
-                                opcua_hosts,
-                                non_opcua_hosts,
-                                probe_micros,
-                                frontier: checkpoint_frontier(&frontier),
-                                referral_stats: ref_stats,
-                                fault_stats,
-                                probed_referrals: checkpoint_probed(&probed),
-                            }),
+                            checkpoint: Box::new(cp),
                         };
                     }
-                    if frontier.is_empty() {
+                    if cp.frontier.is_empty() {
                         break;
                     }
-                    let level = self.classify_level(
-                        universe,
-                        sweep_port,
-                        &mut frontier,
-                        &mut ref_stats,
-                        &mut probed,
-                    );
-                    let mut jobs = level.iter().enumerate().map(|(i, t)| Job {
-                        ordinal: i as u64,
-                        addr: t.addr,
-                        port: t.port,
-                        via: DiscoveredVia::Referral {
-                            from: t.from,
-                            depth: t.depth,
-                        },
-                        seed: referral_seed(seed, t.addr, t.port),
-                        listening: self.internet.has_listener(t.addr, t.port),
-                    });
-                    let run = engine.run(&mut jobs, None, &mut |_, record, micros| {
-                        probe_micros += micros;
-                        match record {
-                            None => ref_stats.dead += 1,
-                            Some(record) => {
-                                if record.speaks() {
-                                    ref_stats.opcua_hosts += 1;
-                                    opcua_hosts += 1;
-                                } else {
-                                    ref_stats.non_opcua_hosts += 1;
-                                    non_opcua_hosts += 1;
-                                }
-                                fault_stats.observe(&record);
-                                collect_referrals(suite.as_ref(), &record, &mut frontier);
-                                sink(record);
-                                cancel.notch();
-                            }
-                        }
-                    });
-                    debug_assert!(matches!(run, EngineRun::Complete));
+                    self.referral_level(universe, port, suite, &epoch, certs, &mut cp, &mut emit);
                 }
             }
-            // The next phase deduplicates referrals afresh, exactly like
-            // the threaded engine's per-phase `follow_referrals` state.
-            probed.clear();
+            // The next phase deduplicates its referrals afresh.
+            cp.suite_cursor += 1;
+            cp.sweep_done = false;
+            cp.probed_referrals.clear();
         }
-        let sweep_stats = sweep_total;
 
-        // Completion: account campaign time exactly as the threaded
-        // engine does, from the same order-independent sums.
-        let mut summary = ScanSummary {
-            sweep: sweep_stats,
-            referrals: ref_stats,
-            opcua_hosts,
-            non_opcua_hosts,
-            certs: certs.stats(),
-            started_unix,
-            finished_unix: 0,
-            faults: fault_stats,
-        };
-        let paced_probes = summary.sweep.probes_sent + summary.referrals.followed;
+        // Account campaign time once, from order-independent sums: SYN
+        // pacing in micros — integer-second division would stall the
+        // clock entirely for campaigns shorter than a second of probes —
+        // plus aggregate probe latency.
+        let paced_probes = cp.sweep_stats.probes_sent + cp.referral_stats.followed;
         let pacing_micros =
             paced_probes.saturating_mul(1_000_000) / self.config.probes_per_second.max(1);
-        self.internet.clock().advance_micros(pacing_micros);
-        self.internet.clock().advance_micros(probe_micros);
-        summary.finished_unix = self.internet.clock().now_unix_seconds();
+        let clock = self.internet.clock();
+        clock.advance_micros(pacing_micros);
+        clock.advance_micros(cp.probe_micros);
         ScanOutcome::Complete {
-            summary,
-            engine: engine.stats(),
+            summary: ScanSummary {
+                sweep: cp.sweep_stats,
+                referrals: cp.referral_stats,
+                opcua_hosts: cp.opcua_hosts,
+                non_opcua_hosts: cp.non_opcua_hosts,
+                certs: certs.stats(),
+                started_unix: cp.started_unix,
+                finished_unix: clock.now_unix_seconds(),
+                faults: cp.fault_stats,
+            },
         }
     }
 
-    /// The referral phase: classifies every announced URL, then probes
-    /// accepted targets breadth-first, level by level. Targets within a
-    /// level are probed across [`ScanConfig::workers`] threads and
-    /// merged back into queue order, so emission order — and therefore
-    /// the full record stream — is independent of the worker count.
+    /// One breadth-first referral level: classifies the whole frontier,
+    /// then probes the accepted targets across [`ScanConfig::workers`]
+    /// threads and emits their records in target order, so emission
+    /// order — and therefore the full record stream — is independent of
+    /// the worker count.
     #[allow(clippy::too_many_arguments)]
-    fn follow_referrals<F>(
+    fn referral_level(
         &self,
         universe: &[Cidr],
-        seed: u64,
-        epoch: &VirtualClock,
-        certs: &CertStore,
         sweep_port: u16,
         suite: &Arc<dyn ProtocolSuite>,
-        mut frontier: Vec<PendingReferral>,
-        probe_micros: &mut u64,
-        mut emit: F,
-    ) -> ReferralStats
-    where
-        F: FnMut(ScanRecord),
-    {
-        let mut stats = ReferralStats::default();
-        // (address, port) pairs probed by the referral phase itself;
-        // sweep coverage is checked structurally (port + universe).
-        // ua-lint: allow(unordered-iteration) -- dedup membership only, never iterated
-        let mut probed: HashSet<(u32, u16)> = HashSet::new();
-        while !frontier.is_empty() {
-            let level =
-                self.classify_level(universe, sweep_port, &mut frontier, &mut stats, &mut probed);
-            for (maybe_record, micros) in
-                self.probe_referral_level(&level, epoch, certs, suite, seed)
-            {
-                *probe_micros += micros;
-                match maybe_record {
-                    None => stats.dead += 1,
+        epoch: &VirtualClock,
+        certs: &CertStore,
+        cp: &mut SweepCheckpoint,
+        emit: &mut impl FnMut(&mut SweepCheckpoint, &dyn ProtocolSuite, ScanRecord),
+    ) {
+        let level = self.classify_level(universe, sweep_port, cp);
+        let next = AtomicUsize::new(0);
+        let seed = cp.seed;
+        ordered_pool(
+            self.config.effective_workers().min(level.len()),
+            self.config.effective_channel_capacity(),
+            |send| {
+                let mut stack = suite.stack();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(target) = level.get(i) else {
+                        break;
+                    };
+                    let probed = self.probe_referral(epoch, certs, suite, &mut stack, target, seed);
+                    send(i as u64, probed);
+                }
+            },
+            |_, (record, micros)| {
+                cp.probe_micros += micros;
+                match record {
+                    None => cp.referral_stats.dead += 1,
                     Some(record) => {
                         if record.speaks() {
-                            stats.opcua_hosts += 1;
+                            cp.referral_stats.opcua_hosts += 1;
                         } else {
-                            stats.non_opcua_hosts += 1;
+                            cp.referral_stats.non_opcua_hosts += 1;
                         }
-                        collect_referrals(suite.as_ref(), &record, &mut frontier);
-                        emit(record);
+                        emit(cp, suite.as_ref(), record);
                     }
                 }
-            }
-        }
-        stats
+                true
+            },
+        );
     }
 
-    /// Classifies one drained referral frontier into the accepted probe
-    /// targets for the next breadth-first level. This is the single
-    /// copy of the disposition logic (unfollowable → blocklist → dedup
-    /// → depth/budget) shared by the threaded referral phase and the
-    /// event-loop engine — one copy, so the two engines cannot drift.
+    /// Drains the referral frontier into the accepted probe targets of
+    /// the next breadth-first level, filing every URL into one
+    /// disposition bucket: unfollowable → blocklist → dedup →
+    /// depth/budget. The budget is campaign-wide: it counts every
+    /// referral followed by any suite phase.
     fn classify_level(
         &self,
         universe: &[Cidr],
         sweep_port: u16,
-        frontier: &mut Vec<PendingReferral>,
-        stats: &mut ReferralStats,
-        // ua-lint: allow(unordered-iteration) -- dedup membership only, never iterated
-        probed: &mut HashSet<(u32, u16)>,
+        cp: &mut SweepCheckpoint,
     ) -> Vec<ReferralTarget> {
+        let stats = &mut cp.referral_stats;
         let mut level: Vec<ReferralTarget> = Vec::new();
-        for pending in frontier.drain(..) {
+        for pending in cp.frontier.drain(..) {
             stats.urls_announced += 1;
             let Some((addr, port)) = OpcUrl::parse(&pending.url).ok().and_then(|u| u.target())
             else {
@@ -831,7 +598,7 @@ impl Scanner {
             // referral probes — this is what terminates A→B→A
             // loops.
             let swept = port == sweep_port && universe.iter().any(|c| c.contains(addr));
-            if swept || probed.contains(&(addr.0, port)) {
+            if swept || cp.probed_referrals.contains(&(addr, port)) {
                 stats.already_probed += 1;
                 continue;
             }
@@ -841,7 +608,7 @@ impl Scanner {
                 stats.truncated += 1;
                 continue;
             }
-            probed.insert((addr.0, port));
+            cp.probed_referrals.insert((addr, port));
             stats.followed += 1;
             stats.max_depth = stats.max_depth.max(pending.depth);
             level.push(ReferralTarget {
@@ -852,160 +619,6 @@ impl Scanner {
             });
         }
         level
-    }
-
-    /// Probes one referral level, returning `(record, micros)` per
-    /// target in target order — `None` for dead targets (nothing
-    /// listening; charged one SYN timeout). With more than one worker,
-    /// targets are probed on `index % workers` threads; per-host clock
-    /// forks make the results order-independent, so placing them back by
-    /// index reproduces the sequential output exactly.
-    fn probe_referral_level(
-        &self,
-        targets: &[ReferralTarget],
-        epoch: &VirtualClock,
-        certs: &CertStore,
-        suite: &Arc<dyn ProtocolSuite>,
-        seed: u64,
-    ) -> Vec<(Option<ScanRecord>, u64)> {
-        let workers = self.config.effective_workers().min(targets.len().max(1));
-        let probe_one = |stack: &mut Vec<Box<dyn Probe>>, t: &ReferralTarget| {
-            if !self.internet.has_listener(t.addr, t.port) {
-                // Dead target: charge exactly what the failed connect
-                // costs under the simulator's TCP model — one RTT for a
-                // refused port on a live host, a full SYN timeout when
-                // no host answers — measured on a throwaway clock fork.
-                let clock = epoch.fork();
-                let start = clock.now_micros();
-                let _ = self.internet.with_clock(clock.clone()).connect(
-                    self.config.scanner_address,
-                    t.addr,
-                    t.port,
-                );
-                return (None, clock.now_micros().saturating_sub(start));
-            }
-            let via = DiscoveredVia::Referral {
-                from: t.from,
-                depth: t.depth,
-            };
-            let (record, micros) = self.probe_host_at_epoch(
-                epoch,
-                certs,
-                suite,
-                stack,
-                t.addr,
-                t.port,
-                via,
-                referral_seed(seed, t.addr, t.port),
-            );
-            (Some(record), micros)
-        };
-        if workers == 1 {
-            let mut stack = suite.stack();
-            return targets.iter().map(|t| probe_one(&mut stack, t)).collect();
-        }
-        let mut results: Vec<(Option<ScanRecord>, u64)> = Vec::new();
-        results.resize_with(targets.len(), || (None, 0));
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            for shard in 0..workers {
-                let tx = tx.clone();
-                let probe_one = &probe_one;
-                scope.spawn(move || {
-                    let mut stack = suite.stack();
-                    for (i, t) in targets.iter().enumerate().skip(shard).step_by(workers) {
-                        let _ = tx.send((i, probe_one(&mut stack, t)));
-                    }
-                });
-            }
-            drop(tx);
-            for (i, outcome) in rx {
-                results[i] = outcome;
-            }
-        });
-        results
-    }
-
-    /// The multi-worker engine: N scoped threads claim chunks of the
-    /// permutation, sweep them and probe their hosts; the coordinator
-    /// merges the N position-sorted streams back into global discovery
-    /// order.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_sharded<F>(
-        &self,
-        universe: &[Cidr],
-        seed: u64,
-        workers: usize,
-        epoch: &VirtualClock,
-        certs: &CertStore,
-        sweep_port: u16,
-        suite: &Arc<dyn ProtocolSuite>,
-        probe_micros: &mut u64,
-        mut emit: F,
-    ) -> SweepStats
-    where
-        F: FnMut(ScanRecord),
-    {
-        let capacity = self.config.effective_channel_capacity();
-        let chunks = SweepChunks::new(universe, &mut StdRng::seed_from_u64(seed));
-        let chunks = &chunks;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut rxs = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx, rx) = mpsc::sync_channel::<ShardItem>(capacity);
-                rxs.push(rx);
-                let epoch = epoch.clone();
-                let suite = Arc::clone(suite);
-                handles.push(scope.spawn(move || {
-                    let syn = SynScanner::new(
-                        &self.internet,
-                        &self.blocklist,
-                        self.sweep_config(sweep_port),
-                    );
-                    let mut stack = suite.stack();
-                    syn.sweep_chunks(chunks, |pos, addr| {
-                        let (record, micros) = self.probe_host_at_epoch(
-                            &epoch,
-                            certs,
-                            &suite,
-                            &mut stack,
-                            addr,
-                            sweep_port,
-                            DiscoveredVia::Sweep,
-                            seed ^ u64::from(addr.0),
-                        );
-                        // A dropped coordinator means the scan was
-                        // abandoned; keep sweeping for the stats.
-                        let _ = tx.send((pos, record, micros));
-                    })
-                }));
-            }
-            // N-way merge: each shard stream is sorted by permutation
-            // position and positions are globally unique, so repeatedly
-            // emitting the smallest head reproduces discovery order
-            // exactly. Blocking on one shard is fine — the others run
-            // ahead into their bounded buffers.
-            let mut heads: Vec<Option<ShardItem>> = rxs.iter().map(|rx| rx.recv().ok()).collect();
-            while let Some(next) = heads
-                .iter()
-                .enumerate()
-                .filter_map(|(i, h)| h.as_ref().map(|(pos, _, _)| (*pos, i)))
-                .min()
-                .map(|(_, i)| i)
-            {
-                // ua-lint: allow(panic-hygiene) -- `next` was selected because this head is Some
-                let (_pos, record, micros) = heads[next].take().expect("head present");
-                *probe_micros += micros;
-                emit(record);
-                heads[next] = rxs[next].recv().ok();
-            }
-            handles
-                .into_iter()
-                // ua-lint: allow(panic-hygiene) -- re-raise a worker panic on the coordinating thread
-                .map(|h| h.join().expect("scan shard panicked"))
-                .fold(SweepStats::default(), |acc, s| acc + s)
-        })
     }
 
     fn sweep_config(&self, port: u16) -> SweepConfig {
@@ -1023,13 +636,13 @@ impl Scanner {
     }
 
     /// Runs the campaign on a coordinator thread (plus
-    /// [`ScanConfig::workers`] shard threads), streaming records through
+    /// [`ScanConfig::workers`] probe threads), streaming records through
     /// a bounded channel. Iterate the returned [`ScanStream`] to consume
     /// records as they are produced; call [`ScanStream::finish`] for the
     /// summary. Record order is identical to [`Self::scan_with`] for any
-    /// worker count — shards merge back into discovery order.
+    /// worker count.
     pub fn scan_stream(self, universe: Vec<Cidr>, seed: u64) -> ScanStream {
-        let (tx, rx) = mpsc::sync_channel(self.config.channel_capacity.max(1));
+        let (tx, rx) = mpsc::sync_channel(self.config.effective_channel_capacity());
         let handle = std::thread::spawn(move || {
             self.scan_with(&universe, seed, |record| {
                 // A dropped receiver means the consumer stopped caring;
@@ -1044,98 +657,17 @@ impl Scanner {
     }
 }
 
-/// One merged unit from a shard: (global permutation step, record,
-/// virtual probe microseconds).
-type ShardItem = (u64, ScanRecord, u64);
-
-/// Resume filter over the permutation walk: steps before `next_step`
-/// were already examined by the aborted run — they are skipped unless
-/// listed in `pending` (admitted but never emitted, so they must be
-/// fully re-probed).
-struct ResumeFilter {
-    next_step: u64,
-    // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
-    pending: HashSet<u64>,
-}
-
-/// Admission-side adapter for the event-loop engine: walks the zmap
-/// permutation and replicates `SynScanner::sweep_shard`'s
-/// classification (blocklist → probe counted → listener check, in
-/// exactly that order) so the sweep counters stay byte-identical to the
-/// threaded engine's. Owns the counters and the walk cursor so the
-/// engine can checkpoint mid-walk.
-struct SweepJobs<'a> {
-    walk: SweepWalk,
-    /// One occupancy snapshot for the whole walk.
-    occupancy: Occupancy<'a>,
-    blocklist: &'a Blocklist,
-    port: u16,
-    seed: u64,
-    /// Counters for every step this iterator examined (resume catch-up
-    /// steps are *not* recounted — the checkpoint already has them).
-    stats: SweepStats,
-    /// First walk step not yet examined; becomes the checkpoint's
-    /// `next_step` on abort.
-    cursor: u64,
-    resume: Option<ResumeFilter>,
-}
-
-impl SweepJobs<'_> {
-    fn job(&self, pos: u64, addr: Ipv4) -> Job {
-        Job {
-            ordinal: pos,
-            addr,
-            port: self.port,
-            via: DiscoveredVia::Sweep,
-            seed: self.seed ^ u64::from(addr.0),
-            listening: true,
-        }
-    }
-}
-
-impl Iterator for SweepJobs<'_> {
-    type Item = Job;
-
-    fn next(&mut self) -> Option<Job> {
-        loop {
-            let (pos, addr) = self.walk.next()?;
-            self.cursor = pos + 1;
-            if let Some(filter) = &self.resume {
-                if pos < filter.next_step {
-                    // Settled by the aborted run — its stats already
-                    // cover this step — unless it was still in flight,
-                    // in which case it is re-admitted (and only
-                    // re-admitted: no recounting).
-                    if filter.pending.contains(&pos) {
-                        return Some(self.job(pos, addr));
-                    }
-                    continue;
-                }
-            }
-            if self.blocklist.contains(addr) {
-                self.stats.blocklisted += 1;
-                continue;
-            }
-            self.stats.probes_sent += 1;
-            if self.occupancy.has_listener(addr, self.port) {
-                self.stats.responsive += 1;
-                return Some(self.job(pos, addr));
-            }
-        }
-    }
-}
-
 /// Harvests a record's referred URLs — as the probing suite interprets
 /// them — into the referral frontier, one chain level deeper than the
 /// record itself.
 fn collect_referrals(
     suite: &dyn ProtocolSuite,
     record: &ScanRecord,
-    frontier: &mut Vec<PendingReferral>,
+    frontier: &mut Vec<PendingUrl>,
 ) {
     let depth = record.via.depth() + 1;
     for url in suite.referrals(record) {
-        frontier.push(PendingReferral {
+        frontier.push(PendingUrl {
             from: record.address,
             url: url.clone(),
             depth,
@@ -1526,6 +1058,48 @@ mod tests {
         assert_eq!(summary.referrals.followed, 2);
         assert_eq!(summary.referrals.truncated, 2);
         assert_eq!(records.len(), 3); // LDS + 2 within budget
+    }
+
+    #[test]
+    fn referral_budget_is_spent_across_suite_phases() {
+        // OPC UA on two ports, one LDS on each announcing two hidden
+        // servers: the first phase spends the whole budget of two, so
+        // the second phase's referrals are truncated.
+        let world = || {
+            let net = Internet::new(VirtualClock::starting_at(0));
+            let refs = |a: u8, b: u8| [a, b].map(|i| format!("opc.tcp://10.50.0.{i}:4860/"));
+            let first = refs(11, 12);
+            let second = refs(13, 14);
+            let lds = [(1, 4840, first), (2, 4841, second)];
+            for (host, port, refs) in &lds {
+                let refs: Vec<&str> = refs.iter().map(String::as_str).collect();
+                bind_server(&net, Ipv4::new(10, 50, 0, *host), *port, true, &refs, 1);
+            }
+            for i in 11..=14u8 {
+                bind_server(
+                    &net,
+                    Ipv4::new(10, 50, 0, i),
+                    4860,
+                    false,
+                    &[],
+                    u64::from(i),
+                );
+            }
+            net
+        };
+        for workers in [1usize, 4] {
+            let config = ScanConfig::builder()
+                .workers(workers)
+                .referral_budget(2)
+                .suite(4840, Arc::new(OpcUaSuite::new()))
+                .suite(4841, Arc::new(OpcUaSuite::new()))
+                .build()
+                .unwrap();
+            let (summary, records) = referral_scan(world(), Blocklist::new(), config);
+            assert_eq!(summary.referrals.followed, 2, "workers={workers}");
+            assert_eq!(summary.referrals.truncated, 2, "workers={workers}");
+            assert_eq!(records.len(), 4, "two LDSs + two referrals");
+        }
     }
 
     #[test]

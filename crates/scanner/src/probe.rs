@@ -27,28 +27,6 @@ use ua_types::{
 /// campaigns can diff reported versions.
 const SERVER_SOFTWARE_VERSION_NODE: u32 = 2264;
 
-/// Which probe engine drives a campaign.
-///
-/// Both engines run the same stack over the same permutation with
-/// per-host clock forks, so output is byte-identical per seed; they
-/// differ only in *how* probes are multiplexed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanEngine {
-    /// The reference implementation: responsive hosts are sharded across
-    /// [`ScanConfig::workers`] OS threads, each running its probe stack
-    /// to completion with blocking I/O.
-    #[default]
-    Threaded,
-    /// The event-driven core: every probe is a state machine
-    /// (SYN → hello → endpoints → FindServers → session) multiplexed
-    /// over a hierarchical timer wheel on a single thread, with
-    /// admission bounded by [`ScanConfig::max_in_flight`]. Throughput
-    /// tracks the in-flight budget instead of the worker count
-    /// ([`ScanConfig::workers`] is ignored), and campaigns become
-    /// abortable/resumable via `scanner::sched`.
-    EventLoop,
-}
-
 /// Connect-phase retry/backoff policy: how hard the scanner fights a
 /// hostile network before writing a host off.
 ///
@@ -57,7 +35,7 @@ pub enum ScanEngine {
 /// pre-retry pipeline. All waiting happens on the probe's private clock
 /// fork and the backoff jitter derives from the per-target seed, so a
 /// hostile campaign is still a pure function of the campaign seed at
-/// any worker count, on either engine.
+/// any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Connect attempts per target (0 is treated as 1). 1 = never
@@ -128,8 +106,11 @@ pub struct ScanConfig {
     /// Whether to attempt anonymous sessions at all (the paper's scanner
     /// only proceeds where servers advertise credential-less access).
     pub attempt_session: bool,
-    /// Bounded capacity of the record channel in streaming scans (also
-    /// the per-shard buffer in sharded scans).
+    /// Bounded capacity of the record channel in streaming scans, and
+    /// of each worker's buffer of probed-but-unemitted records: a worker
+    /// that gets this far ahead of the ordered merge waits, which is
+    /// the engine's backpressure against a slow record sink. 0 is
+    /// treated as 1.
     pub channel_capacity: usize,
     /// Worker threads the campaign is sharded across. Output is
     /// byte-identical for a fixed seed regardless of this knob — it only
@@ -143,13 +124,6 @@ pub struct ScanConfig {
     /// safety budget against referral storms; targets beyond it are
     /// counted as truncated, never probed.
     pub referral_budget: usize,
-    /// Which probe engine drives the campaign. Output is byte-identical
-    /// per seed either way.
-    pub engine: ScanEngine,
-    /// Event-loop engine only: the bound on the admitted-but-unemitted
-    /// probe window (admission stalls when it is full — the engine's
-    /// backpressure against a slow record sink). 0 is treated as 1.
-    pub max_in_flight: usize,
     /// Connect-phase retry/backoff policy (defaults to a single polite
     /// attempt — see [`RetryPolicy`]).
     pub retry: RetryPolicy,
@@ -173,8 +147,6 @@ impl Default for ScanConfig {
             workers: 1,
             referral_depth: 4,
             referral_budget: 4096,
-            engine: ScanEngine::default(),
-            max_in_flight: 256,
             retry: RetryPolicy::default(),
             suites: SuiteRegistry::new(),
         }
@@ -183,7 +155,7 @@ impl Default for ScanConfig {
 
 impl ScanConfig {
     /// A validating builder over the default configuration — the
-    /// literal-free way to assemble the (by now) 14-field config. Plain
+    /// literal-free way to assemble the (by now) 12-field config. Plain
     /// struct literals over [`ScanConfig::default`] keep working; the
     /// builder adds up-front validation and does the zero-normalization
     /// once instead of at every use site.
@@ -194,15 +166,9 @@ impl ScanConfig {
     }
 
     /// Worker thread count with the "0 is treated as 1" normalization
-    /// applied — the single place both engines get it from.
+    /// applied — the single place the engine gets it from.
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1)
-    }
-
-    /// In-flight cap with zero-normalization applied (see
-    /// [`ScanConfig::effective_workers`]).
-    pub fn effective_max_in_flight(&self) -> usize {
-        self.max_in_flight.max(1)
     }
 
     /// Record-channel capacity with zero-normalization applied.
@@ -319,18 +285,6 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Which probe engine drives the campaign.
-    pub fn engine(mut self, engine: ScanEngine) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
-    /// Event-loop in-flight cap (0 normalized to 1 at build).
-    pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.cfg.max_in_flight = cap;
-        self
-    }
-
     /// Connect-phase retry/backoff policy.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.cfg.retry = retry;
@@ -350,13 +304,12 @@ impl ScanConfigBuilder {
     }
 
     /// Validates and finishes the configuration. The zero-means-one
-    /// knobs (`workers`, `max_in_flight`, `channel_capacity`,
-    /// `retry.max_attempts`) are normalized here, once, so engines can
-    /// rely on the invariant instead of re-checking at every use.
+    /// knobs (`workers`, `channel_capacity`, `retry.max_attempts`) are
+    /// normalized here, once, so the engine can rely on the invariant
+    /// instead of re-checking at every use.
     pub fn build(self) -> Result<ScanConfig, ConfigError> {
         let mut cfg = self.cfg;
         cfg.workers = cfg.workers.max(1);
-        cfg.max_in_flight = cfg.max_in_flight.max(1);
         cfg.channel_capacity = cfg.channel_capacity.max(1);
         cfg.retry.max_attempts = cfg.retry.max_attempts.max(1);
         if cfg.referral_depth > 0
@@ -392,8 +345,8 @@ pub struct ProbeContext<'a> {
     /// Per-target nonce seed.
     pub seed: u64,
     /// The protocol suite driving this probe — owns the connect-error
-    /// classification (defaults to plain OPC UA; engines install the
-    /// registered suite before the first stage runs).
+    /// classification (defaults to plain OPC UA; the engine installs
+    /// the registered suite before the first stage runs).
     pub suite: Arc<dyn ProtocolSuite>,
 }
 
@@ -427,10 +380,9 @@ impl<'a> ProbeContext<'a> {
     /// them, throttle-aware pacing, and a [`HostOutcome`] verdict (plus
     /// attempt/backoff accounting) written to `record`.
     ///
-    /// Both engines call this through the shared probe stack, and every
-    /// wait lands on this probe's clock fork — exactly like probe
-    /// latency — so hostile campaigns stay byte-identical across
-    /// engines, worker counts, and in-flight caps.
+    /// Every wait lands on this probe's clock fork — exactly like probe
+    /// latency — so hostile campaigns stay byte-identical at any worker
+    /// count.
     pub fn connect_with_retry(&self, record: &mut ScanRecord) -> Option<TcpStreamSim> {
         /// Salt for the per-target backoff-jitter stream ("RETRY"),
         /// keeping it independent of the nonce stream sharing the seed.
@@ -621,8 +573,7 @@ impl Probe for FindServersProbe {
 /// The combined discovery stage: [`EndpointsProbe`] then (only if
 /// endpoints succeeded) [`FindServersProbe`], as one [`Probe`]. Kept for
 /// custom stacks that want discovery as a single stage; the default
-/// stack runs the two halves separately so the event-loop engine gets a
-/// timer-wheel state per protocol round-trip.
+/// stack runs the two halves as separate stages.
 pub struct DiscoveryProbe;
 
 impl Probe for DiscoveryProbe {
@@ -764,8 +715,8 @@ pub fn classify_session_error(err: &ClientError) -> SessionOutcome {
 ///
 /// Behaviorally identical to the historical three-stage stack (the
 /// combined [`DiscoveryProbe`] stopped before FindServers whenever
-/// endpoints failed, exactly as the split stages compose), but each
-/// stage is now one state-machine step for the event-loop engine.
+/// endpoints failed, exactly as the split stages compose), with one
+/// stage per protocol round-trip.
 pub fn default_stack() -> Vec<Box<dyn Probe>> {
     vec![
         Box::new(UacpProbe),
@@ -977,12 +928,10 @@ mod tests {
     fn builder_normalizes_and_keeps_defaults() {
         let cfg = ScanConfig::builder()
             .workers(0)
-            .max_in_flight(0)
             .channel_capacity(0)
             .build()
             .unwrap();
         assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.max_in_flight, 1);
         assert_eq!(cfg.channel_capacity, 1);
         assert_eq!(cfg.retry.max_attempts, 1);
         // Defaults survive untouched knobs; the empty registry means
@@ -1028,12 +977,10 @@ mod tests {
     fn effective_knobs_centralize_zero_normalization() {
         let cfg = ScanConfig {
             workers: 0,
-            max_in_flight: 0,
             channel_capacity: 0,
             ..ScanConfig::default()
         };
         assert_eq!(cfg.effective_workers(), 1);
-        assert_eq!(cfg.effective_max_in_flight(), 1);
         assert_eq!(cfg.effective_channel_capacity(), 1);
     }
 }

@@ -1,39 +1,97 @@
-//! Event-driven scan core: per-host probe state machines multiplexed
-//! over a hierarchical timer wheel, with cooperative cancellation and
-//! bounded-window backpressure.
+//! The scan engine's scheduling core: the worker pool with its ordered
+//! merge, cooperative cancellation, and the checkpoint an aborted scan
+//! resumes from.
 //!
-//! The threaded engine ([`crate::Scanner::scan_with_certs`] with
-//! [`crate::ScanEngine::Threaded`]) dedicates an OS thread per shard and
-//! blocks each thread through a whole probe. This module runs the same
-//! probe stack as interleaved state machines on **one** thread:
+//! [`crate::Scanner`] drives every phase of a campaign — each suite's
+//! sweep and each breadth-first referral level — through one pool:
 //!
-//! * every admitted target gets a private [`VirtualClock`] fork of the
-//!   campaign epoch, so record contents stay a pure function of
-//!   `(host, port, seed, epoch)` — exactly the byte-identity contract
-//!   the threaded engine honors;
-//! * stage transitions are scheduled on a [`TimerWheel`] keyed by the
-//!   virtual time each stage consumed on its fork, so wheel order is the
-//!   order a real event loop would observe completions;
-//! * records are emitted strictly in admission (permutation-walk) order
-//!   through an in-order frontier, and admission stalls once
-//!   [`crate::ScanConfig::max_in_flight`] targets are in the window —
-//!   throughput tracks the in-flight budget, not a worker count;
-//! * a [`CancelToken`] aborts the loop between timer firings; everything
-//!   in flight is dropped (fork clocks and all — the campaign clock
-//!   never sees their time) and the admitted-but-unemitted window is
-//!   reported so a [`SweepCheckpoint`] can resume deterministically.
+//! * [`crate::ScanConfig::workers`] scoped threads claim work in
+//!   increasing key order (sweep threads claim chunks of the
+//!   permutation walk, [`netsim::SweepChunks`]; referral threads claim
+//!   the next target of the level) and run the blocking probe stack on
+//!   a private [`netsim::VirtualClock`] fork per target, so record
+//!   contents are a pure function of `(host, port, seed, epoch)`;
+//! * each thread hands its results, sorted by key (walk step or level
+//!   index), to the calling thread through a buffer of
+//!   [`crate::ScanConfig::channel_capacity`] records, which holds a
+//!   thread back when the record sink is slow;
+//! * the calling thread merges the streams back into global key order,
+//!   so the emitted stream is byte-identical at any worker count;
+//! * a [`CancelToken`] is checked after every emitted sweep record and
+//!   between referral levels, and polled by sweep threads once per
+//!   claimed chunk; an aborted scan reports a [`SweepCheckpoint`] at its
+//!   last emitted record, and resuming from it reproduces the
+//!   uninterrupted stream.
 
-use crate::pipeline::ReferralStats;
-use crate::probe::{Probe, ProbeContext, ProbeOutcome, ScanConfig};
-use crate::record::{DiscoveredVia, ScanRecord};
-use crate::suite::{OpcUaSuite, ProtocolSuite};
-use netsim::{Internet, Ipv4, SweepStats, TcpStreamSim, VirtualClock};
-// ua-lint: allow(unordered-iteration) -- wheel/engine maps are id-keyed lookups; emission order comes from the sequence cursor
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::pipeline::{FaultStats, ReferralStats};
+use netsim::{Ipv4, SweepStats};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
-use ua_client::UaClient;
-use ua_crypto::CertStore;
+use std::sync::{mpsc, Arc};
+
+// ---------------------------------------------------------------------------
+// The worker pool
+// ---------------------------------------------------------------------------
+
+/// Runs `work` on `workers` scoped threads and feeds `emit`, on the
+/// calling thread, every `(key, item)` the threads hand over, in
+/// ascending key order, until `emit` returns false. Returns what each
+/// thread's `work` returned.
+///
+/// Each thread must hand over its items in increasing key order, and
+/// keys must be unique across threads; a thread's buffer holds at most
+/// `capacity` items. The merge emits the smallest buffered head, so it
+/// never emits a key while a thread that could still produce a smaller
+/// one is running.
+pub(crate) fn ordered_pool<T, R>(
+    workers: usize,
+    capacity: usize,
+    work: impl Fn(&mut dyn FnMut(u64, T)) -> R + Sync,
+    mut emit: impl FnMut(u64, T) -> bool,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+{
+    std::thread::scope(|scope| {
+        let work = &work;
+        let (handles, rxs): (Vec<_>, Vec<_>) = (0..workers)
+            .map(|_| {
+                let (tx, rx) = mpsc::sync_channel::<(u64, T)>(capacity);
+                // A send fails only after the merge stopped early; the
+                // item is then no longer wanted.
+                let handle = scope.spawn(move || {
+                    work(&mut |key, item| {
+                        let _ = tx.send((key, item));
+                    })
+                });
+                (handle, rx)
+            })
+            .unzip();
+        let mut heads: Vec<Option<(u64, T)>> = rxs.iter().map(|rx| rx.recv().ok()).collect();
+        while let Some(next) = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, head)| head.as_ref().map(|(key, _)| (*key, i)))
+            .min()
+            .map(|(_, i)| i)
+        {
+            // ua-lint: allow(panic-hygiene) -- `next` was selected because this head is Some
+            let (key, item) = heads[next].take().expect("head present");
+            if !emit(key, item) {
+                break;
+            }
+            heads[next] = rxs[next].recv().ok();
+        }
+        // Unblock threads waiting on a full buffer before joining them.
+        drop(rxs);
+        handles
+            .into_iter()
+            // ua-lint: allow(panic-hygiene) -- re-raise a worker panic on the coordinating thread
+            .map(|handle| handle.join().expect("scan worker panicked"))
+            .collect()
+    })
+}
 
 // ---------------------------------------------------------------------------
 // Cancellation
@@ -43,10 +101,10 @@ use ua_crypto::CertStore;
 /// whoever wants to abort it.
 ///
 /// Clones share the flag (the token is a handle, not the state). The
-/// scan engine polls [`is_cancelled`] at safe points — between timer
-/// firings during the sweep, and at referral-level boundaries — so
-/// cancellation is prompt but never tears a probe mid-stage in a way
-/// the checkpoint could not describe.
+/// scan engine checks [`is_cancelled`] at safe points — after every
+/// emitted sweep record, once per claimed sweep chunk in each worker,
+/// and at referral-level boundaries — so cancellation is prompt but
+/// never lands anywhere the checkpoint could not describe.
 ///
 /// Cancellation composes with determinism: an aborted sweep reports a
 /// [`SweepCheckpoint`], and resuming from it reproduces the exact byte
@@ -162,262 +220,11 @@ impl Drop for CancelGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel
-// ---------------------------------------------------------------------------
-
-/// Levels in the hierarchy; horizon is `64^8` ticks (≈ 2.8 · 10¹⁴ µs,
-/// about nine virtual years — far beyond any campaign).
-const WHEEL_LEVELS: usize = 8;
-/// Slots per level.
-const WHEEL_SLOTS: usize = 64;
-/// log2(WHEEL_SLOTS).
-const SLOT_BITS: u32 = 6;
-
-/// Handle for cancelling a scheduled timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
-
-#[derive(Debug)]
-struct TimerEntry<T> {
-    deadline: u64,
-    seq: u64,
-    id: u64,
-    value: T,
-}
-
-/// A hierarchical timer wheel (hashed-and-hierarchical, à la Varghese &
-/// Lauck): eight levels of 64 slots at 1 µs tick granularity. Near
-/// deadlines sit in level 0 where expiry is O(1); far deadlines park in
-/// coarser levels and *cascade* down as the wheel turns.
-///
-/// Determinism guarantees the scan engine builds on:
-///
-/// * expiry happens in non-decreasing deadline order;
-/// * timers sharing a deadline fire in one batch, ordered by insertion
-///   (same-tick FIFO) — even when some of them cascaded in from coarser
-///   levels and others were inserted at level 0 directly;
-/// * [`cancel`]led timers never fire and never perturb the order of the
-///   survivors.
-///
-/// [`cancel`]: TimerWheel::cancel
-#[derive(Debug)]
-pub struct TimerWheel<T> {
-    /// `levels[level][slot]` holds entries whose deadline lands in that
-    /// slot for the wheel's current rotation.
-    levels: Vec<Vec<Vec<TimerEntry<T>>>>,
-    /// One bit per slot, set while the slot holds any entries — lets
-    /// the expiry scan skip empty slots (the common case: a wheel of
-    /// 512 slots holding an in-flight window's worth of timers).
-    occupied: [u64; WHEEL_LEVELS],
-    now: u64,
-    next_seq: u64,
-    next_id: u64,
-    // ua-lint: allow(unordered-iteration) -- liveness membership only, never iterated
-    live: HashSet<u64>,
-    /// Cancelled entries not yet physically pruned from their slot.
-    /// While zero (the common case) expiry skips the prune pass.
-    cancelled_pending: usize,
-    cascades: u64,
-}
-
-impl<T> TimerWheel<T> {
-    /// An empty wheel at tick 0.
-    pub fn new() -> Self {
-        TimerWheel {
-            levels: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occupied: [0; WHEEL_LEVELS],
-            now: 0,
-            next_seq: 0,
-            next_id: 0,
-            // ua-lint: allow(unordered-iteration) -- liveness membership only, never iterated
-            live: HashSet::new(),
-            cancelled_pending: 0,
-            cascades: 0,
-        }
-    }
-
-    /// Current wheel time in ticks (µs). Advances on expiry only.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Live (scheduled, not yet fired or cancelled) timer count.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// True when no live timers remain.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    /// Number of entries that cascaded from a coarser level to a finer
-    /// one over the wheel's lifetime — the cost a hierarchical wheel
-    /// pays for O(1) insertion of far-future deadlines.
-    pub fn cascades(&self) -> u64 {
-        self.cascades
-    }
-
-    /// Schedules `value` to fire at absolute tick `deadline` (clamped to
-    /// `now` when already past). Returns a handle for [`cancel`].
-    ///
-    /// [`cancel`]: TimerWheel::cancel
-    pub fn insert(&mut self, deadline: u64, value: T) -> TimerId {
-        let deadline = deadline.max(self.now);
-        let id = self.next_id;
-        self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live.insert(id);
-        self.place(TimerEntry {
-            deadline,
-            seq,
-            id,
-            value,
-        });
-        TimerId(id)
-    }
-
-    /// Files an entry into the finest level that can represent its
-    /// remaining delta. Used for both fresh inserts and cascades, so
-    /// `seq`/`id` survive re-homing.
-    fn place(&mut self, entry: TimerEntry<T>) {
-        let delta = entry.deadline - self.now;
-        let mut level = 0;
-        while level + 1 < WHEEL_LEVELS && delta >= 1u64 << (SLOT_BITS * (level as u32 + 1)) {
-            level += 1;
-        }
-        assert!(
-            delta < 1u64 << (SLOT_BITS * WHEEL_LEVELS as u32),
-            "timer deadline beyond wheel horizon"
-        );
-        let slot =
-            ((entry.deadline >> (SLOT_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
-        self.levels[level][slot].push(entry);
-        self.occupied[level] |= 1 << slot;
-    }
-
-    /// Cancels a timer; true when it was still live. The entry is
-    /// pruned lazily — cancellation is O(1).
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        let was_live = self.live.remove(&id.0);
-        if was_live {
-            self.cancelled_pending += 1;
-        }
-        was_live
-    }
-
-    /// Drops every live timer, returning how many were dropped.
-    pub fn clear(&mut self) -> usize {
-        let dropped = self.live.len();
-        self.live.clear();
-        for level in &mut self.levels {
-            for slot in level {
-                slot.clear();
-            }
-        }
-        self.occupied = [0; WHEEL_LEVELS];
-        self.cancelled_pending = 0;
-        dropped
-    }
-
-    /// Advances to the next deadline with live timers and returns
-    /// `(deadline, values)` — all timers sharing that tick, in
-    /// insertion order. `None` when the wheel is empty.
-    pub fn expire_next(&mut self) -> Option<(u64, Vec<T>)> {
-        loop {
-            // Find the earliest live deadline, scanning coarse levels
-            // first so a tie between a parked (coarse) entry and a
-            // level-0 entry cascades the parked one down before firing
-            // — otherwise the batch would split a tick.
-            let mut min: Option<(u64, usize, usize)> = None;
-            for level in (0..WHEEL_LEVELS).rev() {
-                let mut bits = self.occupied[level];
-                while bits != 0 {
-                    let slot = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if self.cancelled_pending > 0 {
-                        let live = &self.live;
-                        let entries = &mut self.levels[level][slot];
-                        let before = entries.len();
-                        entries.retain(|e| live.contains(&e.id));
-                        self.cancelled_pending -= before - entries.len();
-                        if entries.is_empty() {
-                            self.occupied[level] &= !(1u64 << slot);
-                            continue;
-                        }
-                    }
-                    for e in &self.levels[level][slot] {
-                        if min.is_none_or(|(d, _, _)| e.deadline < d) {
-                            min = Some((e.deadline, level, slot));
-                        }
-                    }
-                }
-            }
-            let (deadline, level, slot) = min?;
-
-            if level == 0 {
-                self.now = self.now.max(deadline);
-                let entries = &mut self.levels[0][slot];
-                let mut batch = Vec::new();
-                let mut keep = Vec::new();
-                for e in entries.drain(..) {
-                    if e.deadline == deadline {
-                        batch.push(e);
-                    } else {
-                        // Same slot, later rotation: stays parked.
-                        keep.push(e);
-                    }
-                }
-                *entries = keep;
-                if self.levels[0][slot].is_empty() {
-                    self.occupied[0] &= !(1u64 << slot);
-                }
-                batch.sort_by_key(|e| e.seq);
-                for e in &batch {
-                    self.live.remove(&e.id);
-                }
-                return Some((deadline, batch.into_iter().map(|e| e.value).collect()));
-            }
-
-            // Cascade: advance to the start of the slot's window on
-            // this level, then re-home the in-window entries into finer
-            // levels. Entries in the slot that belong to a *later*
-            // rotation stay put.
-            let span = 1u64 << (SLOT_BITS * level as u32);
-            let window_start =
-                (deadline >> (SLOT_BITS * level as u32)) << (SLOT_BITS * level as u32);
-            self.now = self.now.max(window_start);
-            let entries = std::mem::take(&mut self.levels[level][slot]);
-            for e in entries {
-                if e.deadline < window_start + span {
-                    self.cascades += 1;
-                    self.place(e);
-                } else {
-                    self.levels[level][slot].push(e);
-                }
-            }
-            if self.levels[level][slot].is_empty() {
-                self.occupied[level] &= !(1u64 << slot);
-            }
-        }
-    }
-}
-
-impl<T> Default for TimerWheel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoints and stats
+// Checkpoints
 // ---------------------------------------------------------------------------
 
 /// A referral URL harvested from an emitted record but not yet
-/// classified — the unit of the checkpointed referral frontier.
+/// classified — the unit of the referral frontier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingUrl {
     /// Host whose record announced the URL.
@@ -430,12 +237,12 @@ pub struct PendingUrl {
 
 /// Everything needed to resume an aborted scan deterministically.
 ///
-/// The checkpoint captures the scan at a *record boundary*: every
-/// record emitted before the abort is final, everything admitted but
-/// not yet emitted (`in_flight`) is discarded — fork clocks and all —
-/// and re-probed from scratch on resume. Because record contents are a
-/// pure function of `(host, port, seed, epoch)` and emission order is
-/// the permutation-walk order, the stitched stream
+/// The checkpoint captures the scan at its last emitted record: every
+/// record emitted before the abort is final, and everything probed but
+/// not yet emitted is discarded — fork clocks and all — and re-probed
+/// from scratch on resume. Because record contents are a pure function
+/// of `(host, port, seed, epoch)` and emission order is the
+/// permutation-walk order, the stitched stream
 /// `aborted-run records ++ resumed-run records` is byte-identical to an
 /// uninterrupted run.
 ///
@@ -455,7 +262,7 @@ pub struct SweepCheckpoint {
     pub seed: u64,
     /// The campaign epoch (µs): the frozen instant every probe forks
     /// its private clock from. Resume reconstructs it with
-    /// [`VirtualClock::starting_at_micros`].
+    /// [`netsim::VirtualClock::starting_at_micros`].
     pub epoch_micros: u64,
     /// `started_unix` the final summary must report.
     pub started_unix: i64,
@@ -466,372 +273,53 @@ pub struct SweepCheckpoint {
     /// True when the current phase's sweep finished and only its
     /// referral levels remain.
     pub sweep_done: bool,
-    /// First permutation-walk step the aborted run never examined.
-    /// Resume re-walks the permutation and treats earlier steps as
-    /// settled unless listed in `in_flight`.
+    /// First walk step of the current phase's sweep that resume sweeps:
+    /// the walk step of the phase's last emitted record plus one (0
+    /// before its first record). Every earlier step is settled.
     pub next_step: u64,
-    /// Walk steps that were admitted but not emitted when the abort
-    /// landed. Their probes are discarded wholesale and re-run on
-    /// resume (they are already counted in `sweep_stats`).
-    pub in_flight: Vec<u64>,
-    /// Sweep counters covering every examined step (`< next_step`).
+    /// Sweep counters of the finished phases plus the settled steps
+    /// (`< next_step`) of the current one.
     pub sweep_stats: SweepStats,
     /// OPC UA speakers among emitted records so far.
     pub opcua_hosts: u64,
     /// Emitted records that failed the UACP hello.
     pub non_opcua_hosts: u64,
     /// Per-host probe time (µs) of *emitted* records only — discarded
-    /// in-flight probes never charge the campaign clock.
+    /// probes never charge the campaign clock.
     pub probe_micros: u64,
     /// Referral URLs harvested from emitted records, not yet followed.
     pub frontier: Vec<PendingUrl>,
-    /// Referral-phase counters so far.
+    /// Referral-phase counters so far, campaign-wide: the referral
+    /// budget is spent across every suite phase.
     pub referral_stats: ReferralStats,
     /// Connect-phase fault/retry counters over emitted records so far —
     /// resumed hostile sweeps stitch their [`crate::FaultStats`] exactly
     /// like the host counts.
-    pub fault_stats: crate::pipeline::FaultStats,
-    /// `(address, port)` pairs already probed via referral, sorted for
-    /// reproducible printing.
-    pub probed_referrals: Vec<(Ipv4, u16)>,
+    pub fault_stats: FaultStats,
+    /// `(address, port)` pairs the current phase already probed via
+    /// referral.
+    pub probed_referrals: BTreeSet<(Ipv4, u16)>,
 }
 
-/// Telemetry from one event-loop engine run. Deliberately **not** part
-/// of [`crate::ScanSummary`]: the summary must stay byte-identical
-/// across engines, and these numbers describe the scheduler, not the
-/// measurement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Targets admitted into the in-flight window.
-    pub admitted: u64,
-    /// Probes driven to completion (admitted minus aborted).
-    pub completed: u64,
-    /// Peak size of the admitted-but-unemitted window; by construction
-    /// never exceeds [`crate::ScanConfig::max_in_flight`].
-    pub in_flight_high_water: usize,
-    /// Timers scheduled on the wheel.
-    pub timers_scheduled: u64,
-    /// Timers that fired.
-    pub timers_fired: u64,
-    /// Timers dropped by cancellation.
-    pub timers_cancelled: u64,
-    /// Entries that cascaded between wheel levels.
-    pub wheel_cascades: u64,
-    /// Virtual microseconds the engine's internal timeline covered.
-    pub virtual_micros: u64,
-}
-
-// ---------------------------------------------------------------------------
-// The event loop
-// ---------------------------------------------------------------------------
-
-/// One unit of admission: a target the walk classified as listening
-/// (or a dead referral target that still owes a connect-time charge).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Job {
-    /// Emission key: walk step for sweep jobs, level index for
-    /// referral jobs. Must be strictly increasing per `run` call.
-    pub ordinal: u64,
-    pub addr: Ipv4,
-    pub port: u16,
-    pub via: DiscoveredVia,
-    pub seed: u64,
-    /// False for referral targets with no listener: resolved at
-    /// admission with a single timed connect, like the threaded path.
-    pub listening: bool,
-}
-
-/// How a `run` call ended.
-pub(crate) enum EngineRun {
-    /// The job iterator was exhausted and every record emitted.
-    Complete,
-    /// Cancellation observed; `unemitted` lists the ordinals that were
-    /// admitted but never emitted, in admission order.
-    Cancelled { unemitted: Vec<u64> },
-}
-
-/// A probe in flight: its private fork clock, network view, record
-/// under construction, and position in the probe stack.
-struct InFlight {
-    ordinal: u64,
-    addr: Ipv4,
-    port: u16,
-    seed: u64,
-    clock: VirtualClock,
-    start_micros: u64,
-    net: Internet,
-    record: ScanRecord,
-    client: Option<UaClient<TcpStreamSim>>,
-    stage: usize,
-    /// Fork-elapsed µs already reflected in wheel scheduling.
-    charged: u64,
-}
-
-/// The single-threaded scan engine. One instance drives both the sweep
-/// and every referral level of a scan, so [`EngineStats`] covers the
-/// whole call to [`crate::Scanner::scan_resumable`].
-pub(crate) struct EventLoop<'a> {
-    internet: &'a Internet,
-    config: &'a ScanConfig,
-    certs: &'a CertStore,
-    epoch: &'a VirtualClock,
-    /// Mirrors the wheel's tick counter onto virtual time: the wheel is
-    /// "driven by" the campaign clock in the sense that one tick is one
-    /// virtual microsecond past the epoch.
-    engine_clock: VirtualClock,
-    epoch_micros: u64,
-    /// The suite whose phase the engine is currently driving; its stack
-    /// and payload template are installed by [`EventLoop::set_suite`].
-    suite: Arc<dyn ProtocolSuite>,
-    stack: Vec<Box<dyn Probe>>,
-    wheel: TimerWheel<usize>,
-    slots: Vec<Option<InFlight>>,
-    free: Vec<usize>,
-    pending: VecDeque<u64>,
-    /// Completion buffer keyed by admission sequence; records leave in
-    /// cursor order, so the map's own order never shows.
-    // ua-lint: allow(unordered-iteration) -- drained by sequence cursor, never iterated
-    ready: HashMap<u64, (Option<ScanRecord>, u64)>,
-    stats: EngineStats,
-    cap: usize,
-}
-
-impl<'a> EventLoop<'a> {
-    pub fn new(
-        internet: &'a Internet,
-        config: &'a ScanConfig,
-        certs: &'a CertStore,
-        epoch: &'a VirtualClock,
-    ) -> Self {
-        let suite: Arc<dyn ProtocolSuite> = Arc::new(OpcUaSuite::new());
-        EventLoop {
-            internet,
-            config,
-            certs,
-            epoch,
-            engine_clock: epoch.fork(),
-            epoch_micros: epoch.now_micros(),
-            stack: suite.stack(),
-            suite,
-            wheel: TimerWheel::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            pending: VecDeque::new(),
-            // ua-lint: allow(unordered-iteration) -- drained by sequence cursor, never iterated
-            ready: HashMap::new(),
-            stats: EngineStats::default(),
-            cap: config.effective_max_in_flight(),
-        }
-    }
-
-    /// Installs the suite whose phase the next [`EventLoop::run`] calls
-    /// drive: its stage ladder replaces the current one and its payload
-    /// template goes onto every subsequently admitted record. Must only
-    /// be called between runs (no probes in flight).
-    pub fn set_suite(&mut self, suite: Arc<dyn ProtocolSuite>) {
-        debug_assert!(
-            self.pending.is_empty(),
-            "suite change with probes in flight"
-        );
-        self.stack = suite.stack();
-        self.suite = suite;
-    }
-
-    pub fn stats(&self) -> EngineStats {
-        let mut stats = self.stats;
-        stats.wheel_cascades = self.wheel.cascades();
-        stats.virtual_micros = self.wheel.now();
-        stats
-    }
-
-    /// Drives `jobs` to completion (or cancellation), calling
-    /// `emit(ordinal, record, probe_micros)` strictly in ordinal order.
-    /// `record` is `None` for dead referral targets. When `cancel` is
-    /// `Some`, the token is polled between wheel firings.
-    pub fn run(
-        &mut self,
-        jobs: &mut dyn Iterator<Item = Job>,
-        cancel: Option<&CancelToken>,
-        emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64),
-    ) -> EngineRun {
-        let mut exhausted = false;
-        loop {
-            if let Some(token) = cancel {
-                if token.is_cancelled() {
-                    return EngineRun::Cancelled {
-                        unemitted: self.abort(),
-                    };
-                }
-            }
-            while !exhausted && self.pending.len() < self.cap {
-                match jobs.next() {
-                    Some(job) => self.admit(job),
-                    None => exhausted = true,
-                }
-            }
-            self.flush(emit);
-            if exhausted && self.pending.is_empty() {
-                return EngineRun::Complete;
-            }
-            if let Some((now, batch)) = self.wheel.expire_next() {
-                self.engine_clock.advance_to_micros(self.epoch_micros + now);
-                self.stats.timers_fired += batch.len() as u64;
-                for slot in batch {
-                    self.run_stage(slot);
-                }
-            } else {
-                // No timers armed: everything pending is resolved (the
-                // next flush drains it) or admission still has input.
-                debug_assert!(
-                    !exhausted
-                        || self
-                            .pending
-                            .front()
-                            .is_none_or(|o| self.ready.contains_key(o)),
-                    "event loop stalled with no timers and no ready frontier"
-                );
-            }
-        }
-    }
-
-    /// Drops everything in flight. The fork clocks die with their
-    /// probes, so none of their virtual time ever reaches the campaign
-    /// clock — the invariant `week_epochs_strictly_advance` relies on.
-    fn abort(&mut self) -> Vec<u64> {
-        let unemitted: Vec<u64> = self.pending.drain(..).collect();
-        self.stats.timers_cancelled += self.wheel.clear() as u64;
-        self.slots.clear();
-        self.free.clear();
-        self.ready.clear();
-        unemitted
-    }
-
-    fn admit(&mut self, job: Job) {
-        self.stats.admitted += 1;
-        self.pending.push_back(job.ordinal);
-        self.stats.in_flight_high_water = self.stats.in_flight_high_water.max(self.pending.len());
-
-        if !job.listening {
-            // Dead referral target: the threaded path charges one timed
-            // connect on a throwaway fork; replicate that exactly.
-            let clock = self.epoch.fork();
-            let start = clock.now_micros();
-            let _ = self.internet.with_clock(clock.clone()).connect(
-                self.config.scanner_address,
-                job.addr,
-                job.port,
-            );
-            let elapsed = clock.now_micros().saturating_sub(start);
-            self.ready.insert(job.ordinal, (None, elapsed));
-            self.stats.completed += 1;
-            return;
-        }
-
-        let hint = self
-            .internet
-            .poll_connect(job.addr, job.port)
-            .latency_hint_micros();
-        let clock = self.epoch.fork();
-        let net = self.internet.with_clock(clock.clone());
-        let mut record = ScanRecord::for_target(
-            job.addr,
-            job.port,
-            job.via,
-            net.as_number(job.addr),
-            clock.now_unix_seconds(),
-        );
-        record.payload = self.suite.payload();
-        let flight = InFlight {
-            ordinal: job.ordinal,
-            addr: job.addr,
-            port: job.port,
-            seed: job.seed,
-            start_micros: clock.now_micros(),
-            clock,
-            net,
-            record,
-            client: None,
-            stage: 0,
-            charged: 0,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(flight);
-                slot
-            }
-            None => {
-                self.slots.push(Some(flight));
-                self.slots.len() - 1
-            }
-        };
-        self.wheel.insert(self.wheel.now() + hint.max(1), slot);
-        self.stats.timers_scheduled += 1;
-    }
-
-    /// Runs one probe stage for the flight in `slot`, then either
-    /// schedules the next stage (at a deadline offset by the virtual
-    /// time this stage consumed on the flight's fork) or finalizes the
-    /// record into the ready map.
-    fn run_stage(&mut self, slot: usize) {
-        let mut flight = match self.slots.get_mut(slot).and_then(Option::take) {
-            Some(flight) => flight,
-            // Slot was torn down by an abort racing a stale timer.
-            None => return,
-        };
-        let mut ctx = ProbeContext::for_target(
-            &flight.net,
-            self.config,
-            self.certs,
-            flight.addr,
-            flight.port,
-            flight.seed,
-        );
-        ctx.suite = Arc::clone(&self.suite);
-        ctx.client = flight.client.take();
-        let outcome = self.stack[flight.stage].run(&mut ctx, &mut flight.record);
-        flight.client = ctx.client.take();
-        flight.stage += 1;
-
-        let elapsed = flight
-            .clock
-            .now_micros()
-            .saturating_sub(flight.start_micros);
-        if outcome == ProbeOutcome::Stop || flight.stage >= self.stack.len() {
-            // Added, not assigned: side-connection stages (vendor
-            // fingerprinting) fold their traffic in via
-            // `ScanRecord::account` as they run.
-            if let Some(client) = &flight.client {
-                flight.record.requests += client.requests_sent();
-                let stats = client.stats();
-                flight.record.tx_bytes += stats.tx_bytes;
-                flight.record.rx_bytes += stats.rx_bytes;
-            }
-            self.stats.completed += 1;
-            self.ready
-                .insert(flight.ordinal, (Some(flight.record), elapsed));
-            self.free.push(slot);
-        } else {
-            let delta = elapsed.saturating_sub(flight.charged);
-            flight.charged = elapsed;
-            let deadline = self.wheel.now() + delta.max(1);
-            self.slots[slot] = Some(flight);
-            self.wheel.insert(deadline, slot);
-            self.stats.timers_scheduled += 1;
-        }
-    }
-
-    /// Emits the in-order frontier: records leave strictly in admission
-    /// order, which is the permutation-walk order — the whole
-    /// byte-identity argument in one loop.
-    fn flush(&mut self, emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64)) {
-        while let Some(&front) = self.pending.front() {
-            match self.ready.remove(&front) {
-                Some((record, micros)) => {
-                    self.pending.pop_front();
-                    emit(front, record, micros);
-                }
-                None => break,
-            }
+impl SweepCheckpoint {
+    /// The state of a scan that has not emitted anything yet, starting
+    /// at `epoch_micros`.
+    pub(crate) fn start(seed: u64, epoch_micros: u64, started_unix: i64) -> Self {
+        SweepCheckpoint {
+            seed,
+            epoch_micros,
+            started_unix,
+            suite_cursor: 0,
+            sweep_done: false,
+            next_step: 0,
+            sweep_stats: SweepStats::default(),
+            opcua_hosts: 0,
+            non_opcua_hosts: 0,
+            probe_micros: 0,
+            frontier: Vec::new(),
+            referral_stats: ReferralStats::default(),
+            fault_stats: FaultStats::default(),
+            probed_referrals: BTreeSet::new(),
         }
     }
 }
@@ -880,99 +368,5 @@ mod tests {
             let _ = guard.disarm();
         }
         assert!(!token.is_cancelled());
-    }
-
-    #[test]
-    fn wheel_fires_in_deadline_order() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(50, "c");
-        wheel.insert(10, "a");
-        wheel.insert(30, "b");
-        assert_eq!(wheel.len(), 3);
-        assert_eq!(wheel.expire_next(), Some((10, vec!["a"])));
-        assert_eq!(wheel.now(), 10);
-        assert_eq!(wheel.expire_next(), Some((30, vec!["b"])));
-        assert_eq!(wheel.expire_next(), Some((50, vec!["c"])));
-        assert_eq!(wheel.now(), 50);
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.expire_next(), None);
-    }
-
-    #[test]
-    fn wheel_same_tick_fifo_across_levels() {
-        let mut wheel = TimerWheel::new();
-        // "first" goes in at level 1 (delta 100 ≥ 64 from tick 0);
-        // after the wheel turns past 40, "second" lands at level 0 for
-        // the same deadline. The batch must still come out in
-        // insertion order, which forces a cascade of "first".
-        wheel.insert(100, "first");
-        wheel.insert(40, "warmup");
-        assert_eq!(wheel.expire_next(), Some((40, vec!["warmup"])));
-        wheel.insert(100, "second");
-        assert_eq!(wheel.expire_next(), Some((100, vec!["first", "second"])));
-        assert!(wheel.cascades() > 0);
-    }
-
-    #[test]
-    fn wheel_cancel_removes_without_reordering() {
-        let mut wheel = TimerWheel::new();
-        let _a = wheel.insert(10, "a");
-        let b = wheel.insert(20, "b");
-        let _c = wheel.insert(30, "c");
-        assert!(wheel.cancel(b));
-        assert!(!wheel.cancel(b), "second cancel is a no-op");
-        assert_eq!(wheel.len(), 2);
-        assert_eq!(wheel.expire_next(), Some((10, vec!["a"])));
-        assert_eq!(wheel.expire_next(), Some((30, vec!["c"])));
-        assert_eq!(wheel.expire_next(), None);
-    }
-
-    #[test]
-    fn wheel_far_future_cascades_down() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(1_000_000_000, "far");
-        wheel.insert(5, "near");
-        assert_eq!(wheel.expire_next(), Some((5, vec!["near"])));
-        assert_eq!(wheel.expire_next(), Some((1_000_000_000, vec!["far"])));
-        // 10^9 sits four levels up (64^4 ≈ 1.6·10^7 ≤ 10^9 < 64^5):
-        // reaching it takes at least one cascade per level crossed.
-        assert!(wheel.cascades() >= 3, "cascades: {}", wheel.cascades());
-        assert_eq!(wheel.now(), 1_000_000_000);
-    }
-
-    #[test]
-    fn wheel_clamps_past_deadlines_to_now() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(100, "late");
-        assert_eq!(wheel.expire_next(), Some((100, vec!["late"])));
-        wheel.insert(10, "stale");
-        // Clamped to now=100, fires immediately, time never rewinds.
-        assert_eq!(wheel.expire_next(), Some((100, vec!["stale"])));
-        assert_eq!(wheel.now(), 100);
-    }
-
-    #[test]
-    fn wheel_clear_reports_dropped() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(10, 1);
-        wheel.insert(20, 2);
-        let id = wheel.insert(30, 3);
-        wheel.cancel(id);
-        assert_eq!(wheel.clear(), 2);
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.expire_next(), None);
-    }
-
-    #[test]
-    fn wheel_same_slot_different_rotation_stays_parked() {
-        let mut wheel = TimerWheel::new();
-        // 69 parks at level 1 and later cascades into level-0 slot 5 —
-        // the slot 5 itself occupied one rotation earlier. The cascade
-        // must not disturb already-fired history, and each deadline
-        // fires exactly once.
-        wheel.insert(5, "near");
-        wheel.insert(64 + 5, "far");
-        assert_eq!(wheel.expire_next(), Some((5, vec!["near"])));
-        assert_eq!(wheel.expire_next(), Some((69, vec!["far"])));
     }
 }

@@ -11,7 +11,7 @@
 //! suites that have it — referral following. [`SuiteRegistry`] maps
 //! ports to suites; a campaign with a non-empty registry sweeps the
 //! union of registered ports and drives each port's suite through the
-//! same engines, retry policy, and longitudinal machinery.
+//! same engine, retry policy, and longitudinal machinery.
 //!
 //! Two suites ship:
 //!
@@ -45,8 +45,8 @@ pub const DEFAULT_UATLS_PORT: u16 = 4843;
 
 /// Everything protocol-specific about probing one kind of service.
 ///
-/// Engines hold suites as `Arc<dyn ProtocolSuite>` and drive them
-/// generically: per target they install [`ProtocolSuite::payload`] as
+/// The engine holds suites as `Arc<dyn ProtocolSuite>` and drives them
+/// generically: per target it installs [`ProtocolSuite::payload`] as
 /// the record template, run the stages from [`ProtocolSuite::stack`] in
 /// order until one stops, and — when
 /// [`ProtocolSuite::follows_referrals`] — feed
@@ -60,7 +60,8 @@ pub trait ProtocolSuite: Send + Sync {
     fn default_port(&self) -> u16;
 
     /// A fresh probe-stage ladder for one worker/shard. Stages may keep
-    /// per-target state; engines never share one stack across threads.
+    /// per-target state; the engine never shares one stack across
+    /// threads.
     fn stack(&self) -> Vec<Box<dyn Probe>>;
 
     /// The payload template installed on every record this suite
@@ -311,7 +312,7 @@ impl Probe for TlsHandshakeProbe {
         };
         let probed_at = record.discovered_unix;
         let Some(tls) = record.uat_tls_mut() else {
-            // Engines install the suite's payload template before the
+            // The engine installs the suite's payload template before the
             // first stage; a mismatched template means a mis-registered
             // stack — stop rather than mis-file the transcript.
             return ProbeOutcome::Stop;

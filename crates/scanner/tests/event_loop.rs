@@ -1,15 +1,19 @@
-//! Event-loop engine determinism: the single-threaded timer-wheel
-//! engine must produce byte-identical output to the threaded engine for
-//! a fixed seed — at any in-flight cap, through `scan_stream`'s bounded
-//! channel, and across an abort/resume cycle stitched back together.
+//! Scan-engine determinism: for a fixed seed the one scan engine must
+//! produce byte-identical output at any worker count and channel
+//! capacity, through `scan_stream`'s bounded channel, and across
+//! abort/resume cycles stitched back together at every cut point.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use netsim::{Blocklist, Cidr, Internet, VirtualClock};
-use population::{synthesize, MiddleboxConfig, MiddleboxPlan, PopulationConfig, StrataMix};
+use population::{
+    synthesize, MiddleboxConfig, MiddleboxPlan, MultiProtoConfig, MultiProtoPlan, PopulationConfig,
+    StrataMix,
+};
 use scanner::{
-    CancelToken, RetryPolicy, ScanConfig, ScanEngine, ScanOutcome, ScanRecord, ScanSummary,
-    Scanner, SweepCheckpoint, WeekOutcome,
+    CancelToken, CertStore, OpcUaSuite, RetryPolicy, ScanConfig, ScanOutcome, ScanRecord,
+    ScanSummary, Scanner, SweepCheckpoint, UatTlsSuite, WeekOutcome, DEFAULT_OPCUA_PORT,
+    DEFAULT_UATLS_PORT,
 };
 
 const SEED: u64 = 20_200_209;
@@ -27,25 +31,24 @@ fn build_world() -> (Internet, Vec<Cidr>) {
     (net, universe)
 }
 
-fn scanner_with(engine: ScanEngine, workers: usize, max_in_flight: usize) -> (Scanner, Vec<Cidr>) {
-    let (net, universe) = build_world();
+fn blocklist() -> Blocklist {
     let mut blocklist = Blocklist::new();
     blocklist.add_str("10.40.3.0/24").unwrap();
-    let config = ScanConfig {
-        engine,
-        workers,
-        max_in_flight,
-        ..ScanConfig::default()
-    };
-    (Scanner::new(net, blocklist, config), universe)
+    blocklist
 }
 
-fn scan(
-    engine: ScanEngine,
-    workers: usize,
-    max_in_flight: usize,
-) -> (ScanSummary, Vec<ScanRecord>) {
-    let (scanner, universe) = scanner_with(engine, workers, max_in_flight);
+fn scanner_with(workers: usize, channel_capacity: usize) -> (Scanner, Vec<Cidr>) {
+    let (net, universe) = build_world();
+    let config = ScanConfig {
+        workers,
+        channel_capacity,
+        ..ScanConfig::default()
+    };
+    (Scanner::new(net, blocklist(), config), universe)
+}
+
+fn scan(workers: usize, channel_capacity: usize) -> (ScanSummary, Vec<ScanRecord>) {
+    let (scanner, universe) = scanner_with(workers, channel_capacity);
     let mut records = Vec::new();
     let summary = scanner.scan_with(&universe, SEED, |r| records.push(r));
     (summary, records)
@@ -53,8 +56,8 @@ fn scan(
 
 /// Everything except the cert-interner counters must stitch exactly
 /// across abort/resume; `sightings` counts work performed (certificates
-/// captured by discarded in-flight probes are re-sighted on re-probe),
-/// so it is telemetry, not part of the byte-identity contract.
+/// captured by discarded probes are re-sighted on re-probe), so it is
+/// telemetry, not part of the byte-identity contract.
 fn assert_summary_matches_modulo_sightings(actual: &ScanSummary, expected: &ScanSummary) {
     assert_eq!(actual.sweep, expected.sweep);
     assert_eq!(actual.referrals, expected.referrals);
@@ -71,11 +74,7 @@ fn assert_summary_matches_modulo_sightings(actual: &ScanSummary, expected: &Scan
 /// [`MiddleboxPlan`] and scanned with the hostile retry policy — the
 /// determinism contract must survive packet loss, tarpits and
 /// rate-limiting firewalls.
-fn hostile_scanner_with(
-    engine: ScanEngine,
-    workers: usize,
-    max_in_flight: usize,
-) -> (Scanner, Vec<Cidr>) {
+fn hostile_world() -> (Internet, Vec<Cidr>) {
     let net = Internet::new(VirtualClock::default());
     let universe: Vec<Cidr> = ["10.40.0.0/22", "172.28.0.0/23"]
         .iter()
@@ -85,75 +84,130 @@ fn hostile_scanner_with(
     let pop = synthesize(&net, &cfg);
     let plan = MiddleboxPlan::plan(&pop, &MiddleboxConfig::hostile(), SEED);
     net.set_profiles(Arc::new(plan));
-    let mut blocklist = Blocklist::new();
-    blocklist.add_str("10.40.3.0/24").unwrap();
-    let config = ScanConfig {
-        engine,
-        workers,
-        max_in_flight,
-        retry: RetryPolicy::hostile(),
-        ..ScanConfig::default()
-    };
-    (Scanner::new(net, blocklist, config), universe)
+    (net, universe)
 }
 
-fn hostile_scan(
-    engine: ScanEngine,
-    workers: usize,
-    max_in_flight: usize,
-) -> (ScanSummary, Vec<ScanRecord>) {
-    let (scanner, universe) = hostile_scanner_with(engine, workers, max_in_flight);
+fn hostile_config(workers: usize) -> ScanConfig {
+    ScanConfig {
+        workers,
+        retry: RetryPolicy::hostile(),
+        ..ScanConfig::default()
+    }
+}
+
+fn hostile_scan(workers: usize) -> (ScanSummary, Vec<ScanRecord>) {
+    let (net, universe) = hostile_world();
+    let scanner = Scanner::new(net, blocklist(), hostile_config(workers));
     let mut records = Vec::new();
     let summary = scanner.scan_with(&universe, SEED, |r| records.push(r));
     (summary, records)
 }
 
+/// A scanner over `net` on a clock of its own, starting where `net`'s
+/// clock stands: one world serves many independent scans.
+fn scanner_on(net: &Internet, config: &ScanConfig, workers: usize) -> Scanner {
+    let clock = VirtualClock::starting_at_micros(net.clock().now_micros());
+    let config = ScanConfig {
+        workers,
+        ..config.clone()
+    };
+    Scanner::new(net.with_clock(clock), blocklist(), config)
+}
+
+/// Aborts the scan after every record count `n` it can reach, resumes
+/// it to completion, and checks the stitched stream and summary
+/// against an uninterrupted run — at workers 1, 2 and 4. Returns the
+/// uninterrupted run.
+fn assert_every_cut_stitches(
+    net: &Internet,
+    universe: &[Cidr],
+    config: &ScanConfig,
+) -> (ScanSummary, Vec<ScanRecord>) {
+    let (expected_summary, expected) = scanner_on(net, config, 1).scan_collect(universe, SEED);
+    assert!(expected.len() > 10, "need a meaningful record stream");
+    let sweep_records = expected.iter().take_while(|r| !r.via.is_referral()).count();
+    for workers in [1usize, 2, 4] {
+        for n in 1..=expected.len() {
+            let scanner = scanner_on(net, config, workers);
+            let certs = CertStore::new();
+            let mut stitched = Vec::new();
+            let token = CancelToken::after_records(n as u64);
+            let first =
+                scanner.scan_resumable(universe, SEED, &certs, None, &token, |r| stitched.push(r));
+            let summary = match first {
+                ScanOutcome::Aborted { checkpoint } => {
+                    // Sweep cuts land exactly; referral levels are
+                    // atomic, so a cut inside one lands at its end.
+                    if n <= sweep_records {
+                        assert_eq!(stitched.len(), n, "workers={workers} n={n}");
+                    }
+                    assert_eq!(stitched[..], expected[..stitched.len()]);
+                    let resumed = scanner.scan_resumable(
+                        universe,
+                        SEED,
+                        &certs,
+                        Some(*checkpoint),
+                        &CancelToken::new(),
+                        |r| stitched.push(r),
+                    );
+                    let ScanOutcome::Complete { summary } = resumed else {
+                        panic!("unbudgeted resume must complete (workers={workers} n={n})");
+                    };
+                    summary
+                }
+                ScanOutcome::Complete { summary } => summary,
+            };
+            assert_eq!(stitched, expected, "workers={workers} n={n}");
+            assert_summary_matches_modulo_sightings(&summary, &expected_summary);
+        }
+    }
+    (expected_summary, expected)
+}
+
 #[test]
 fn event_loop_matches_threaded_at_any_in_flight_cap() {
-    let (threaded_summary, threaded_records) = scan(ScanEngine::Threaded, 1, 256);
+    // The one engine at any worker count and per-worker buffer
+    // capacity: byte-identical records and summary.
+    let (baseline_summary, baseline_records) = scan(1, 256);
     assert!(
-        threaded_summary.referrals.followed > 0,
+        baseline_summary.referrals.followed > 0,
         "world must exercise the referral phase, got {:?}",
-        threaded_summary.referrals
+        baseline_summary.referrals
     );
-    for cap in [1usize, 4, 256] {
-        let (summary, records) = scan(ScanEngine::EventLoop, 1, cap);
-        assert_eq!(summary, threaded_summary, "max_in_flight={cap}");
-        assert_eq!(records, threaded_records, "max_in_flight={cap}");
+    for workers in [2usize, 8] {
+        for capacity in [1usize, 4, 256] {
+            let (summary, records) = scan(workers, capacity);
+            assert_eq!(
+                summary, baseline_summary,
+                "workers={workers} cap={capacity}"
+            );
+            assert_eq!(
+                records, baseline_records,
+                "workers={workers} cap={capacity}"
+            );
+        }
     }
-    // The event loop is single-threaded: `workers` must be inert.
-    let (summary, records) = scan(ScanEngine::EventLoop, 8, 64);
-    assert_eq!(summary, threaded_summary);
-    assert_eq!(records, threaded_records);
 }
 
 #[test]
 fn event_loop_matches_multiworker_threaded_through_scan_stream() {
-    let (threaded_summary, threaded_records) = scan(ScanEngine::Threaded, 4, 256);
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 32);
+    let (summary4, records4) = scan(4, 256);
+    let (scanner, universe) = scanner_with(1, 32);
     let mut stream = scanner.scan_stream(universe, SEED);
     let records: Vec<ScanRecord> = stream.by_ref().collect();
     let summary = stream.finish();
-    assert_eq!(summary, threaded_summary);
-    assert_eq!(records, threaded_records);
+    assert_eq!(summary, summary4);
+    assert_eq!(records, records4);
 }
 
 /// Backpressure must not deadlock even in the most constrained setup:
-/// a records channel of capacity 1 feeding a consumer, over an engine
-/// window of 1 probe — and the output order must still be exact.
+/// a records channel of capacity 1 feeding a consumer, over workers
+/// that may each buffer one record — and the output order must still
+/// be exact.
 #[test]
 fn no_deadlock_at_capacity_one() {
-    let (_, expected) = scan(ScanEngine::Threaded, 1, 256);
-    let (net, universe) = build_world();
-    let mut blocklist = Blocklist::new();
-    blocklist.add_str("10.40.3.0/24").unwrap();
-    let config = ScanConfig {
-        engine: ScanEngine::EventLoop,
-        channel_capacity: 1,
-        max_in_flight: 1,
-        ..ScanConfig::default()
-    };
-    let scanner = Scanner::new(net, blocklist, config);
+    let (_, expected) = scan(1, 256);
+    let (scanner, universe) = scanner_with(4, 1);
     let mut stream = scanner.scan_stream(universe, SEED);
     let records: Vec<ScanRecord> = stream.by_ref().collect();
     stream.finish();
@@ -161,46 +215,15 @@ fn no_deadlock_at_capacity_one() {
 }
 
 #[test]
-fn in_flight_high_water_respects_cap() {
-    for cap in [1usize, 4, 32] {
-        let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, cap);
-        let outcome = scanner.scan_resumable(
-            &universe,
-            SEED,
-            &scanner::CertStore::new(),
-            None,
-            &CancelToken::new(),
-            |_| {},
-        );
-        let ScanOutcome::Complete { engine, .. } = outcome else {
-            panic!("fresh token cannot abort");
-        };
-        assert!(engine.in_flight_high_water > 0);
-        assert!(
-            engine.in_flight_high_water <= cap,
-            "high water {} exceeds cap {cap}",
-            engine.in_flight_high_water
-        );
-        assert!(engine.admitted > 0);
-        assert_eq!(engine.admitted, engine.completed);
-        assert!(engine.timers_fired > 0);
-        assert_eq!(engine.timers_cancelled, 0);
-        // With a window of 4+, probes genuinely interleave: more than
-        // one stage chain shares the wheel, so the scheduler must have
-        // fired at least one timer per admitted probe.
-        assert!(engine.timers_fired >= engine.admitted);
-    }
-}
-
-#[test]
 fn abort_resume_stitches_byte_identical() {
-    let (expected_summary, expected) = scan(ScanEngine::EventLoop, 1, 16);
-    assert!(expected.len() > 10, "need a meaningful record stream");
+    let (net, universe) = build_world();
+    let config = ScanConfig::default();
+    let (expected_summary, expected) = assert_every_cut_stitches(&net, &universe, &config);
 
     // Abort mid-sweep, resume, abort again in the tail (nested aborts),
     // resume to completion; the concatenation must be byte-identical.
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 16);
-    let certs = scanner::CertStore::new();
+    let scanner = scanner_on(&net, &config, 4);
+    let certs = CertStore::new();
     let mut stitched: Vec<ScanRecord> = Vec::new();
 
     let first = CancelToken::after_records(expected.len() as u64 / 2);
@@ -210,14 +233,9 @@ fn abort_resume_stitches_byte_identical() {
         panic!("budgeted token must abort mid-scan");
     };
     let emitted_at_abort = stitched.len();
-    assert!(emitted_at_abort >= expected.len() / 2);
-    assert!(emitted_at_abort < expected.len());
+    assert_eq!(emitted_at_abort, expected.len() / 2);
     assert!(!checkpoint.sweep_done, "abort should land mid-sweep");
-    assert!(
-        checkpoint.in_flight.len() <= 16,
-        "in-flight window {} exceeds the cap",
-        checkpoint.in_flight.len()
-    );
+    assert!(checkpoint.next_step > 0);
     assert_eq!(checkpoint.seed, SEED);
     // Emitted records are final: they are a prefix of the full stream.
     assert_eq!(stitched[..], expected[..emitted_at_abort]);
@@ -241,21 +259,20 @@ fn abort_resume_stitches_byte_identical() {
         &CancelToken::new(),
         |r| stitched.push(r),
     );
-    let ScanOutcome::Complete { summary, .. } = outcome else {
+    let ScanOutcome::Complete { summary } = outcome else {
         panic!("unbudgeted resume must complete");
     };
     assert_eq!(stitched, expected);
     assert_summary_matches_modulo_sightings(&summary, &expected_summary);
 }
 
-/// The tentpole contract under fire: with middleboxes injecting loss,
-/// tarpits and rate limits, both engines at any worker count must still
-/// emit byte-identical streams — and an abort/resume cycle must stitch
-/// exactly, fault counters included.
+/// The determinism contract under fire: with middleboxes injecting
+/// loss, tarpits and rate limits, the engine at any worker count must
+/// still emit byte-identical streams — and abort/resume must stitch
+/// exactly at every cut point, fault counters included.
 #[test]
 fn hostile_abort_resume_stitches_byte_identical() {
-    let (expected_summary, expected) = hostile_scan(ScanEngine::EventLoop, 1, 16);
-    assert!(expected.len() > 10, "need a meaningful record stream");
+    let (expected_summary, expected) = hostile_scan(1);
     // The hostile plan must actually bite: every non-Ok outcome class
     // the retry layer distinguishes has to appear in the stream.
     let faults = expected_summary.faults;
@@ -268,33 +285,92 @@ fn hostile_abort_resume_stitches_byte_identical() {
     );
     assert!(faults.backoff_micros > 0);
 
-    // Threaded engine, multi-worker: same bytes.
-    for workers in [1usize, 4] {
-        let (summary, records) = hostile_scan(ScanEngine::Threaded, workers, 256);
+    for workers in [4usize, 8] {
+        let (summary, records) = hostile_scan(workers);
         assert_eq!(summary, expected_summary, "workers={workers}");
         assert_eq!(records, expected, "workers={workers}");
     }
 
-    // Abort mid-sweep under fire, then resume to completion.
-    let (scanner, universe) = hostile_scanner_with(ScanEngine::EventLoop, 1, 16);
-    let certs = scanner::CertStore::new();
-    let mut stitched: Vec<ScanRecord> = Vec::new();
+    let (net, universe) = hostile_world();
+    let (summary, records) = assert_every_cut_stitches(&net, &universe, &hostile_config(1));
+    assert_eq!(records, expected);
+    assert_summary_matches_modulo_sightings(&summary, &expected_summary);
+
+    // Fault tallies for emitted records ride the checkpoint.
+    let scanner = scanner_on(&net, &hostile_config(1), 4);
+    let mut emitted: Vec<ScanRecord> = Vec::new();
     let token = CancelToken::after_records(expected.len() as u64 / 2);
-    let outcome =
-        scanner.scan_resumable(&universe, SEED, &certs, None, &token, |r| stitched.push(r));
+    let outcome = scanner.scan_resumable(&universe, SEED, &CertStore::new(), None, &token, |r| {
+        emitted.push(r)
+    });
     let ScanOutcome::Aborted { checkpoint } = outcome else {
         panic!("budgeted token must abort mid-scan");
     };
-    let emitted_at_abort = stitched.len();
-    assert!(emitted_at_abort < expected.len());
-    assert_eq!(stitched[..], expected[..emitted_at_abort]);
-    // Fault tallies for emitted records ride the checkpoint.
     let mut at_abort = scanner::FaultStats::default();
-    for r in &stitched {
+    for r in &emitted {
         at_abort.observe(r);
     }
     assert_eq!(checkpoint.fault_stats, at_abort);
+}
 
+/// Cuts must also land in a second suite phase and inside referral
+/// levels: OPC UA (with referral following) and `uat-tls` over one
+/// world.
+#[test]
+fn two_suite_abort_resume_stitches_at_every_cut() {
+    let (net, universe) = build_world();
+    MultiProtoPlan::deploy(&net, &universe, &MultiProtoConfig::sample(), SEED);
+    let config = ScanConfig::builder()
+        .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::new()))
+        .suite(DEFAULT_UATLS_PORT, Arc::new(UatTlsSuite::new()))
+        .build()
+        .expect("valid two-suite config");
+    let (summary, records) = assert_every_cut_stitches(&net, &universe, &config);
+    assert!(summary.referrals.followed > 0, "{:?}", summary.referrals);
+    assert!(
+        records.last().is_some_and(|r| r.port == DEFAULT_UATLS_PORT),
+        "the second phase must emit records"
+    );
+}
+
+/// A `cancel()` from another thread in the middle of a four-worker
+/// sweep: workers stop at their next chunk claim, and the stitched
+/// stream still equals an uninterrupted run.
+#[test]
+fn external_cancel_mid_sweep_stitches_at_four_workers() {
+    let (net, universe) = build_world();
+    let config = ScanConfig::default();
+    let (expected_summary, expected) = scanner_on(&net, &config, 1).scan_collect(&universe, SEED);
+
+    let scanner = scanner_on(&net, &config, 4);
+    let certs = CertStore::new();
+    let token = CancelToken::new();
+    let (ask, asked) = mpsc::channel::<()>();
+    let (done, cancelled) = mpsc::channel::<()>();
+    let canceller = {
+        let token = token.clone();
+        std::thread::spawn(move || {
+            asked.recv().expect("sink asks once");
+            token.cancel();
+            done.send(()).expect("sink waits for the cancel");
+        })
+    };
+    let mut stitched: Vec<ScanRecord> = Vec::new();
+    let outcome = scanner.scan_resumable(&universe, SEED, &certs, None, &token, |r| {
+        stitched.push(r);
+        if stitched.len() == 3 {
+            // Hand the cancel to the other thread and wait until it
+            // landed, so it falls mid-sweep.
+            ask.send(()).expect("canceller listens");
+            cancelled.recv().expect("canceller answers");
+        }
+    });
+    canceller.join().expect("canceller thread");
+    let ScanOutcome::Aborted { checkpoint } = outcome else {
+        panic!("a cancelled token must abort the scan");
+    };
+    assert_eq!(stitched.len(), 3);
+    assert!(!checkpoint.sweep_done);
     let outcome = scanner.scan_resumable(
         &universe,
         SEED,
@@ -303,8 +379,8 @@ fn hostile_abort_resume_stitches_byte_identical() {
         &CancelToken::new(),
         |r| stitched.push(r),
     );
-    let ScanOutcome::Complete { summary, .. } = outcome else {
-        panic!("unbudgeted resume must complete");
+    let ScanOutcome::Complete { summary } = outcome else {
+        panic!("resume must complete");
     };
     assert_eq!(stitched, expected);
     assert_summary_matches_modulo_sightings(&summary, &expected_summary);
@@ -312,15 +388,15 @@ fn hostile_abort_resume_stitches_byte_identical() {
 
 #[test]
 fn abort_during_referral_phase_resumes_exactly() {
-    let (expected_summary, expected) = scan(ScanEngine::EventLoop, 1, 256);
+    let (expected_summary, expected) = scan(1, 256);
     let referral_records = expected.iter().filter(|r| r.via.is_referral()).count();
     assert!(referral_records > 0, "world must have referral hosts");
 
     // Budget past the sweep so cancellation lands between referral
     // levels.
     let sweep_records = expected.len() - referral_records;
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 256);
-    let certs = scanner::CertStore::new();
+    let (scanner, universe) = scanner_with(4, 256);
+    let certs = CertStore::new();
     let mut stitched: Vec<ScanRecord> = Vec::new();
     let token = CancelToken::after_records(sweep_records as u64 + 1);
     let outcome =
@@ -340,7 +416,7 @@ fn abort_during_referral_phase_resumes_exactly() {
         &CancelToken::new(),
         |r| stitched.push(r),
     );
-    let ScanOutcome::Complete { summary, .. } = outcome else {
+    let ScanOutcome::Complete { summary } = outcome else {
         panic!("resume must complete");
     };
     assert_eq!(stitched, expected);
@@ -349,22 +425,22 @@ fn abort_during_referral_phase_resumes_exactly() {
 
 /// Satellite to the churn-agnostic-clock regression
 /// (`week_epochs_strictly_advance`): an aborted week must consume *no*
-/// campaign time — cancelled in-flight probes only ever advanced their
-/// private fork clocks — and the resumed week must be byte-identical to
-/// a never-aborted one.
+/// campaign time — discarded probes only ever advanced their private
+/// fork clocks — and the resumed week must be byte-identical to a
+/// never-aborted one.
 #[test]
 fn aborted_week_leaves_campaign_clock_untouched() {
     use scanner::Campaign;
 
     let uninterrupted = {
-        let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 16);
+        let (scanner, universe) = scanner_with(1, 256);
         let mut campaign = Campaign::new(scanner);
         let w0 = campaign.run_week(&universe, SEED, |_| {});
         let w1 = campaign.run_week(&universe, SEED, |_| {});
         vec![w0, w1]
     };
 
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 16);
+    let (scanner, universe) = scanner_with(4, 256);
     let mut campaign = Campaign::new(scanner);
     let epoch_before = campaign.scanner().internet().clock().now_micros();
 
@@ -404,19 +480,14 @@ fn aborted_week_leaves_campaign_clock_untouched() {
 /// of running to completion.
 #[test]
 fn cancel_guard_aborts_scan_on_drop() {
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 16);
+    let (scanner, universe) = scanner_with(4, 256);
     let token = CancelToken::new();
     {
         let _guard = token.guard();
         // Guard dropped here — e.g. an early return in a driver.
     }
-    let outcome = scanner.scan_resumable(
-        &universe,
-        SEED,
-        &scanner::CertStore::new(),
-        None,
-        &token,
-        |_| panic!("a pre-cancelled scan must not emit records"),
-    );
+    let outcome = scanner.scan_resumable(&universe, SEED, &CertStore::new(), None, &token, |_| {
+        panic!("a pre-cancelled scan must not emit records")
+    });
     assert!(matches!(outcome, ScanOutcome::Aborted { .. }));
 }

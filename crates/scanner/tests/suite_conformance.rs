@@ -1,12 +1,12 @@
 //! Suite conformance: every [`ProtocolSuite`] must behave identically
-//! under both engines and any worker count, and a multi-suite registry
-//! must compose from single-suite campaigns without interference.
+//! at any worker count, and a multi-suite registry must compose from
+//! single-suite campaigns without interference.
 //!
 //! The contract, checked against planted ground truth:
 //!
 //! 1. **Determinism**: a two-suite campaign (OPC UA on 4840, `uat-tls`
-//!    on 4843) is byte-identical across `Threaded`/`EventLoop` × 1/4/8
-//!    workers — records *and* summary.
+//!    on 4843) is byte-identical across 1/4/8 workers — records *and*
+//!    summary.
 //! 2. **Composition**: the mixed-registry sweep equals the literal
 //!    concatenation of the single-suite sweeps over the same world
 //!    (suites run as isolated phases on disjoint ports).
@@ -29,7 +29,7 @@ use population::{
     MiddleboxPlan, MultiProtoConfig, MultiProtoPlan, Population, PopulationConfig, StrataMix,
 };
 use scanner::{
-    HostOutcome, OpcUaSuite, RetryPolicy, ScanConfig, ScanEngine, ScanRecord, ScanSummary, Scanner,
+    HostOutcome, OpcUaSuite, RetryPolicy, ScanConfig, ScanRecord, ScanSummary, Scanner,
     UatTlsSuite, DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
 };
 
@@ -59,9 +59,8 @@ fn build_world() -> (Internet, Vec<Cidr>, Population, MultiProtoPlan) {
     (net, universe, population, plan)
 }
 
-fn both_suites(engine: ScanEngine, workers: usize) -> ScanConfig {
+fn both_suites(workers: usize) -> ScanConfig {
     ScanConfig::builder()
-        .engine(engine)
         .workers(workers)
         .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
         .suite(
@@ -79,7 +78,7 @@ fn scan(config: ScanConfig) -> (ScanSummary, Vec<ScanRecord>) {
 
 #[test]
 fn two_suite_campaign_is_byte_identical_across_engines_and_workers() {
-    let (summary1, records1) = scan(both_suites(ScanEngine::Threaded, 1));
+    let (summary1, records1) = scan(both_suites(1));
 
     // The baseline must actually exercise both suites, or the matrix
     // proves nothing about multi-protocol determinism.
@@ -101,21 +100,15 @@ fn two_suite_campaign_is_byte_identical_across_engines_and_workers() {
         .iter()
         .any(|r| r.port == DEFAULT_OPCUA_PORT && r.payload.protocol() == "opcua" && r.speaks()));
 
-    for (engine, workers) in [
-        (ScanEngine::Threaded, 4),
-        (ScanEngine::Threaded, 8),
-        (ScanEngine::EventLoop, 1),
-        (ScanEngine::EventLoop, 4),
-        (ScanEngine::EventLoop, 8),
-    ] {
-        let (summary, records) = scan(both_suites(engine, workers));
+    for workers in [4, 8] {
+        let (summary, records) = scan(both_suites(workers));
         assert_eq!(
             summary, summary1,
-            "summary must not depend on ({engine:?}, workers={workers})"
+            "summary must not depend on workers={workers}"
         );
         assert_eq!(
             records, records1,
-            "records must not depend on ({engine:?}, workers={workers})"
+            "records must not depend on workers={workers}"
         );
     }
 }
@@ -139,7 +132,7 @@ fn mixed_registry_equals_concatenation_of_single_suite_sweeps() {
 
     let (_, opcua_records) = scan(opcua_only);
     let (_, tls_records) = scan(uattls_only);
-    let (_, mixed) = scan(both_suites(ScanEngine::Threaded, 1));
+    let (_, mixed) = scan(both_suites(1));
 
     assert!(!opcua_records.is_empty() && !tls_records.is_empty());
     let concat: Vec<ScanRecord> = opcua_records.into_iter().chain(tls_records).collect();
@@ -152,8 +145,8 @@ fn mixed_registry_equals_concatenation_of_single_suite_sweeps() {
 #[test]
 fn tls_deficits_and_vendor_breakdown_recover_ground_truth() {
     let (net, universe, population, plan) = build_world();
-    let (_, records) = Scanner::new(net, Blocklist::new(), both_suites(ScanEngine::Threaded, 4))
-        .scan_collect(&universe, SEED);
+    let (_, records) =
+        Scanner::new(net, Blocklist::new(), both_suites(4)).scan_collect(&universe, SEED);
     let report = assess(&records);
 
     assert_eq!(

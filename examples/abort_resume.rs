@@ -2,11 +2,12 @@
 //! the stitched output is byte-identical to a run that was never
 //! interrupted.
 //!
-//! The event-loop engine (`scanner::sched`) polls a [`CancelToken`]
-//! between timer firings. `CancelToken::after_records(n)` arms a
-//! deterministic abort: for a fixed seed the scan stops on the same
-//! record every run, so this demo — and the CI gate that greps its
-//! output for `MISMATCH` — is reproducible.
+//! The scan engine checks a [`CancelToken`] after every emitted record.
+//! `CancelToken::after_records(n)` arms a deterministic abort: for a
+//! fixed seed the scan stops on the same record every run, at any
+//! worker count, so this demo — and the CI gate that greps its output
+//! for `MISMATCH` and diffs a 1-worker against a 4-worker run — is
+//! reproducible.
 //!
 //! Two levels are exercised:
 //!
@@ -20,18 +21,18 @@
 //! ```sh
 //! cargo run --release --example abort_resume            # default seed
 //! cargo run --release --example abort_resume -- 1234    # custom seed
+//! cargo run --release --example abort_resume -- 1234 4  # ... 4 workers
 //! ```
 
 use opcua_study::prelude::*;
 
-fn build(seed: u64) -> (Scanner, Vec<Cidr>) {
+fn build(seed: u64, workers: usize) -> (Scanner, Vec<Cidr>) {
     let net = Internet::new(VirtualClock::default());
     let universe: Vec<Cidr> = vec!["10.48.0.0/21".parse().unwrap()];
     let cfg = PopulationConfig::new(seed, universe.clone(), StrataMix::paper_like(80));
     synthesize(&net, &cfg);
     let config = ScanConfig {
-        engine: ScanEngine::EventLoop,
-        max_in_flight: 16,
+        workers,
         ..ScanConfig::default()
     };
     (Scanner::new(net, Blocklist::new(), config), universe)
@@ -44,7 +45,7 @@ fn check(label: &str, ok: bool) -> bool {
 
 /// Summaries must stitch exactly except the cert-interner `sightings`
 /// counter, which counts work performed: certificates captured by
-/// discarded in-flight probes are sighted again on re-probe.
+/// discarded probes are sighted again on re-probe.
 fn summaries_match(a: &ScanSummary, b: &ScanSummary) -> bool {
     a.sweep == b.sweep
         && a.referrals == b.referrals
@@ -56,35 +57,17 @@ fn summaries_match(a: &ScanSummary, b: &ScanSummary) -> bool {
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2020);
+    let mut args = std::env::args().skip(1);
+    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2020);
+    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1);
     let mut all_ok = true;
 
     // --- Level 1: one scan, aborted at ~50% and resumed. -------------
-    let (scanner, universe) = build(seed);
-    let certs = CertStore::new();
-    let mut baseline = Vec::new();
-    let baseline_summary =
-        match scanner.scan_resumable(&universe, seed, &certs, None, &CancelToken::new(), |r| {
-            baseline.push(r)
-        }) {
-            ScanOutcome::Complete { summary, engine } => {
-                println!(
-                    "baseline: {} records, in-flight high water {} (cap 16), \
-                 {} timers fired, {} wheel cascades",
-                    baseline.len(),
-                    engine.in_flight_high_water,
-                    engine.timers_fired,
-                    engine.wheel_cascades,
-                );
-                summary
-            }
-            ScanOutcome::Aborted { .. } => unreachable!("no cancellation armed"),
-        };
+    let (scanner, universe) = build(seed, workers);
+    let (baseline_summary, baseline) = scanner.scan_collect(&universe, seed);
+    println!("baseline: {} records", baseline.len());
 
-    let (scanner, universe) = build(seed);
+    let (scanner, universe) = build(seed, workers);
     let certs = CertStore::new();
     let mut stitched = Vec::new();
     let token = CancelToken::after_records(baseline.len() as u64 / 2);
@@ -94,11 +77,10 @@ fn main() {
             ScanOutcome::Complete { .. } => unreachable!("budgeted token must abort"),
         };
     println!(
-        "aborted after {} of {} records: checkpoint at walk step {}, {} probes in flight discarded",
+        "aborted after {} of {} records: checkpoint at walk step {}",
         stitched.len(),
         baseline.len(),
         checkpoint.next_step,
-        checkpoint.in_flight.len(),
     );
     let resumed_summary = match scanner.scan_resumable(
         &universe,
@@ -121,7 +103,7 @@ fn main() {
 
     // --- Level 2: a weekly campaign aborted mid-week. -----------------
     let weeks = |resumable: bool| {
-        let (scanner, universe) = build(seed);
+        let (scanner, universe) = build(seed, workers);
         let mut campaign = Campaign::new(scanner);
         let mut out = Vec::new();
         for _ in 0..2 {
@@ -143,7 +125,7 @@ fn main() {
         out
     };
     let uninterrupted = weeks(false);
-    let (scanner, universe) = build(seed);
+    let (scanner, universe) = build(seed, workers);
     let mut campaign = Campaign::new(scanner);
     let clock_before = campaign.scanner().internet().clock().now_micros();
     let token = CancelToken::after_records(40);

@@ -16,18 +16,16 @@
 //! 3. **Undercount**: a polite single-attempt baseline misses hosts a
 //!    retrying scanner recovers — the bias the layer exists to fix.
 //! 4. **Determinism**: the hostile sweep is byte-identical across
-//!    engines and worker counts.
+//!    worker counts.
 //!
 //! ```sh
 //! cargo run --release --example hostile_sweep                      # default seed
 //! cargo run --release --example hostile_sweep -- 1234              # custom seed
 //! cargo run --release --example hostile_sweep -- 2020 4            # 4 workers
-//! cargo run --release --example hostile_sweep -- 2020 1 event_loop # engine flip
 //! ```
 //!
-//! The optional second/third arguments pick the worker count and scan
-//! engine for the *main* sweep; stdout must be byte-identical for any
-//! choice (CI diffs them).
+//! The optional second argument picks the worker count for the *main*
+//! sweep; stdout must be byte-identical for any choice (CI diffs them).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -56,7 +54,6 @@ fn sweep_mix() -> StrataMix {
 fn build(
     seed: u64,
     retry: RetryPolicy,
-    engine: ScanEngine,
     workers: usize,
 ) -> (Scanner, Vec<Cidr>, Population, MiddleboxPlan) {
     let net = Internet::new(VirtualClock::default());
@@ -66,7 +63,6 @@ fn build(
     let plan = MiddleboxPlan::plan(&population, &MiddleboxConfig::hostile(), seed);
     net.set_profiles(Arc::new(plan.clone()));
     let config = ScanConfig {
-        engine,
         workers,
         retry,
         ..ScanConfig::default()
@@ -103,16 +99,11 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
-    let engine = match std::env::args().nth(3).as_deref() {
-        Some("event_loop") => ScanEngine::EventLoop,
-        _ => ScanEngine::Threaded,
-    };
     let mut all_ok = true;
     let budget = RetryPolicy::hostile().max_attempts;
 
     // --- The hostile sweep, against the planted oracle. --------------
-    let (scanner, universe, population, plan) =
-        build(seed, RetryPolicy::hostile(), engine, workers);
+    let (scanner, universe, population, plan) = build(seed, RetryPolicy::hostile(), workers);
     let (summary, records) = scanner.scan_collect(&universe, seed);
     let faults = summary.faults;
     println!(
@@ -179,7 +170,7 @@ fn main() {
     );
 
     // --- The polite baseline undercounts. ----------------------------
-    let (polite, universe_p, _, _) = build(seed, RetryPolicy::default(), ScanEngine::EventLoop, 1);
+    let (polite, universe_p, _, _) = build(seed, RetryPolicy::default(), 1);
     let (polite_summary, _) = polite.scan_collect(&universe_p, seed);
     println!(
         "polite baseline: {} ok vs {} ok with retries ({} hosts recovered by retrying)",
@@ -192,17 +183,12 @@ fn main() {
         polite_summary.faults.ok < faults.ok,
     );
 
-    // --- Byte identity across engines and worker counts. -------------
-    for (other_engine, other_workers, label) in [
-        (ScanEngine::Threaded, 4, "threaded, 4 workers"),
-        (ScanEngine::EventLoop, 1, "event loop"),
-        (ScanEngine::EventLoop, 8, "event loop (workers inert)"),
-    ] {
-        let (other, universe_o, _, _) =
-            build(seed, RetryPolicy::hostile(), other_engine, other_workers);
+    // --- Byte identity across worker counts. -------------------------
+    for other_workers in [1, 4, 8] {
+        let (other, universe_o, _, _) = build(seed, RetryPolicy::hostile(), other_workers);
         let (s, r) = other.scan_collect(&universe_o, seed);
         all_ok &= check(
-            &format!("byte-identical under fire: {label}"),
+            &format!("byte-identical under fire: workers={other_workers}"),
             s == summary && r == records,
         );
     }

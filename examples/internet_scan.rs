@@ -12,8 +12,6 @@
 //! cargo run --release --example internet_scan              # default seed
 //! cargo run --release --example internet_scan -- 1234      # custom seed
 //! cargo run --release --example internet_scan -- 1234 8    # ... 8 workers
-//! cargo run --release --example internet_scan -- 1234 1 event_loop
-//! #   ... single-threaded timer-wheel engine; output is byte-identical
 //! ```
 
 use opcua_study::prelude::*;
@@ -22,10 +20,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2020);
     let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1);
-    let engine = match args.next().as_deref() {
-        Some("event_loop") => ScanEngine::EventLoop,
-        _ => ScanEngine::Threaded,
-    };
 
     let net = Internet::new(VirtualClock::default());
     // Several announced blocks — regional ISPs, an IoT ISP, hosting.
@@ -53,13 +47,11 @@ fn main() {
     blocklist.add_str("10.16.7.0/24").unwrap();
 
     // Stream records through the bounded channel while the scan runs,
-    // sharded across `workers` probe threads — or multiplexed on the
-    // single-threaded timer-wheel engine. The output below must mention
-    // neither the worker count nor the engine: CI diffs a 1-worker, a
-    // 4-worker, and an event-loop run to enforce that determinism.
+    // sharded across `workers` probe threads. The output below must not
+    // mention the worker count: CI diffs a 1-worker and a 4-worker run
+    // to enforce that determinism.
     let config = ScanConfig {
         workers,
-        engine,
         ..ScanConfig::default()
     };
     let scanner = Scanner::new(net, blocklist, config);

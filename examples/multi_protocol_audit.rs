@@ -17,19 +17,18 @@
 //!    both ports — to exactly the vendor the synthesis planted.
 //! 4. **Composition**: the mixed-registry sweep equals the literal
 //!    concatenation of the single-suite sweeps.
-//! 5. **Determinism**: the campaign is byte-identical across engines
-//!    and worker counts.
+//! 5. **Determinism**: the campaign is byte-identical across worker
+//!    counts.
 //!
 //! ```sh
 //! cargo run --release --example multi_protocol_audit                      # default seed
 //! cargo run --release --example multi_protocol_audit -- 1234              # custom seed
 //! cargo run --release --example multi_protocol_audit -- 2020 4            # 4 workers
-//! cargo run --release --example multi_protocol_audit -- 2020 1 event_loop # engine flip
 //! ```
 //!
-//! The optional second/third arguments pick the worker count and scan
-//! engine for the *main* campaign; stdout must be byte-identical for
-//! any choice (CI diffs them).
+//! The optional second argument picks the worker count for the *main*
+//! campaign; stdout must be byte-identical for any choice (CI diffs
+//! them).
 
 use std::sync::Arc;
 
@@ -60,9 +59,8 @@ fn build(seed: u64) -> (Internet, Vec<Cidr>, Population, MultiProtoPlan) {
     (net, universe, population, plan)
 }
 
-fn audit_config(engine: ScanEngine, workers: usize) -> ScanConfig {
+fn audit_config(workers: usize) -> ScanConfig {
     ScanConfig::builder()
-        .engine(engine)
         .workers(workers)
         .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
         .suite(
@@ -97,14 +95,10 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
-    let engine = match std::env::args().nth(3).as_deref() {
-        Some("event_loop") => ScanEngine::EventLoop,
-        _ => ScanEngine::Threaded,
-    };
     let mut all_ok = true;
 
     // --- The two-suite campaign, against the planted oracles. --------
-    let (summary, records, population, plan) = scan(seed, audit_config(engine, workers));
+    let (summary, records, population, plan) = scan(seed, audit_config(workers));
 
     // Partition the records by typed payload. Exhaustive on purpose:
     // adding a suite must force this audit to account for its records
@@ -185,15 +179,11 @@ fn main() {
         records == concat,
     );
 
-    // --- Byte identity across engines and worker counts. -------------
-    for (other_engine, other_workers, label) in [
-        (ScanEngine::Threaded, 4, "threaded, 4 workers"),
-        (ScanEngine::EventLoop, 1, "event loop"),
-        (ScanEngine::EventLoop, 8, "event loop (workers inert)"),
-    ] {
-        let (s, r, _, _) = scan(seed, audit_config(other_engine, other_workers));
+    // --- Byte identity across worker counts. -------------------------
+    for other_workers in [1, 4, 8] {
+        let (s, r, _, _) = scan(seed, audit_config(other_workers));
         all_ok &= check(
-            &format!("byte-identical: {label}"),
+            &format!("byte-identical: workers={other_workers}"),
             s == summary && r == records,
         );
     }

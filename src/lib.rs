@@ -32,17 +32,14 @@
 //!                 │              upgrade detection,         │
 //!                 │              deficit trajectories)      │
 //!                 ├─────────────────────────────────────────┤
-//!   measurement   │ scanner      two engines, one output:   │
-//!                 │              threaded (sharded sweep,   │
+//!   measurement   │ scanner      one engine: sweep chunks   │
+//!                 │              claimed by                 │
 //!                 │              ScanConfig::workers probe  │
-//!                 │              threads, merge by          │
-//!                 │              discovery order) and       │
-//!                 │              event loop (scanner::sched:│
-//!                 │              timer-wheel scheduler,     │
-//!                 │              per-host state machines,   │
-//!                 │              max_in_flight window,      │
+//!                 │              threads, merged back into  │
+//!                 │              discovery order            │
+//!                 │              (scanner::sched);          │
 //!                 │              CancelToken abort +        │
-//!                 │              SweepCheckpoint resume);   │
+//!                 │              SweepCheckpoint resume;    │
 //!                 │              → LDS referral queue (url  │
 //!                 │              parse, dedup, depth/       │
 //!                 │              budget) → channel;         │
@@ -125,20 +122,16 @@
 //!   so records, report, and summary are byte-identical for a fixed
 //!   seed at *any* worker count; only the wall-clock changes. CI enforces this by diffing a 1-worker against
 //!   a 4-worker campaign.
-//! * **Scan engine** — `ScanConfig::engine` selects between the
-//!   thread-per-shard reference engine and `scanner::sched`'s
-//!   single-threaded event loop: per-host probe state machines
-//!   multiplexed over a hierarchical timer wheel, with
-//!   `ScanConfig::max_in_flight` bounding the admitted-but-unemitted
-//!   window (throughput tracks the in-flight budget, not a worker
-//!   count). Output is byte-identical between engines per seed, and
-//!   the event loop adds what threads cannot: cooperative
-//!   cancellation (`CancelToken`) and deterministic abort/resume
-//!   (`Scanner::scan_resumable` + `SweepCheckpoint`,
-//!   `Campaign::run_week_resumable` + `resume_week`) — an aborted
-//!   sweep consumes no campaign time and stitches byte-identically.
-//!   CI diffs event-loop runs against threaded ones and replays an
-//!   abort/resume cycle.
+//! * **Cancellation** — one scan engine serves every entry point, so
+//!   every campaign can be cancelled (`CancelToken`) and resumed
+//!   deterministically (`Scanner::scan_resumable` + `SweepCheckpoint`,
+//!   `Campaign::run_week_resumable` + `resume_week`): the checkpoint
+//!   is the last emitted record, an aborted sweep consumes no campaign
+//!   time, and the resumed stream stitches byte-identically at any
+//!   worker count. Each worker buffers at most
+//!   `ScanConfig::channel_capacity` records ahead of the ordered
+//!   merge, which holds it back against a slow record sink. CI
+//!   replays abort/resume cycles at 1 and 4 workers.
 //! * **Referral following** — after the sweep, the pipeline re-probes
 //!   every `host:port` that FindServers answers referred to (the
 //!   paper's 2020-05-04 scanner change): URLs are normalized through
@@ -208,7 +201,7 @@
 //!   tarpitted), and tallies the cost (`FaultStats`). Default policy
 //!   is one attempt: polite campaigns are byte-identical to the
 //!   pre-retry pipeline. Hostile sweeps stay byte-identical across
-//!   engines, worker counts, and abort/resume; CI replays
+//!   worker counts and abort/resume; CI replays
 //!   `examples/hostile_sweep.rs` against the planted truth and diffs
 //!   1-vs-4-worker hostile campaigns.
 //! * **Protocol suites** — `ScanConfig::suites` (or
@@ -226,8 +219,7 @@
 //!   anonymous inner servers and expired wrapper certificates —
 //!   `population::MultiProtoPlan` plants those strata with checkable
 //!   ground truth). CI replays `examples/multi_protocol_audit.rs`
-//!   against the planted truth and diffs it across engines and worker
-//!   counts.
+//!   against the planted truth and diffs it across worker counts.
 //! * **Invariant lints** — every determinism rule above is statically
 //!   checked by `crates/ua-lint`, a registry-dependency-free analyzer
 //!   with its own Rust lexer: no wall-clock reads or sleeps off the
@@ -278,11 +270,11 @@ pub mod prelude {
         MultiProtoPlan, Population, PopulationConfig, StrataMix, TlsClass,
     };
     pub use scanner::{
-        Campaign, CampaignConfig, CancelToken, CertStore, DiscoveredVia, EngineStats, FaultStats,
-        HostOutcome, OpcUaSuite, OpcUrl, ProtocolPayload, ProtocolSuite, ReferralStats,
-        RetryPolicy, ScanConfig, ScanEngine, ScanOutcome, ScanRecord, ScanSummary, Scanner,
-        SessionOutcome, SuiteRegistry, SweepCheckpoint, UatTlsSuite, WeekCheckpoint, WeekOutcome,
-        WeeklyScan, DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
+        Campaign, CampaignConfig, CancelToken, CertStore, DiscoveredVia, FaultStats, HostOutcome,
+        OpcUaSuite, OpcUrl, ProtocolPayload, ProtocolSuite, ReferralStats, RetryPolicy, ScanConfig,
+        ScanOutcome, ScanRecord, ScanSummary, Scanner, SessionOutcome, SuiteRegistry,
+        SweepCheckpoint, UatTlsSuite, WeekCheckpoint, WeekOutcome, WeeklyScan, DEFAULT_OPCUA_PORT,
+        DEFAULT_UATLS_PORT,
     };
     pub use ua_crypto::Thumbprint;
     pub use ua_types::{MessageSecurityMode, SecurityPolicy, UserTokenType};
