@@ -9,6 +9,7 @@
 
 use assessment::Assessor;
 use bench::BenchConfig;
+use scanner::CertStore;
 
 fn main() {
     let cfg = BenchConfig::from_env();
@@ -23,12 +24,10 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let scanner = cfg.scanner(net, workers);
-    let mut stream = scanner.scan_stream(cfg.universe.clone(), cfg.seed);
     let mut assessor = Assessor::new();
-    for record in stream.by_ref() {
-        assessor.fold(&record);
-    }
-    let summary = stream.finish();
+    let summary = scanner.scan_with_certs(&cfg.universe, cfg.seed, &CertStore::new(), |record| {
+        assessor.fold(&record)
+    });
     println!(
         "scan: {} probes sent, {} OPC UA hosts ({} workers)",
         summary.sweep.probes_sent, summary.opcua_hosts, workers

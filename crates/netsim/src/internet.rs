@@ -92,84 +92,14 @@ impl std::error::Error for ConnectError {}
 /// the virtual cost [`Internet::connect`] charges on [`ConnectError::NoRoute`].
 pub const SYN_TIMEOUT_MICROS: u64 = 1_000_000;
 
-/// Fallback latency hint for hosts the resolver knows but the bound
-/// table has never seen: their true RTT is decided at materialization,
-/// so a non-blocking poll can only guess. Scheduling-only — the hint
-/// never reaches a record.
-const DEFAULT_RTT_HINT_MICROS: u64 = 10_000;
-
-/// The *predicted* outcome of a connect, answered without blocking,
-/// without advancing any clock, and without materializing lazy hosts.
-///
-/// [`Internet::poll_connect`] tells a caller what a
-/// [`Internet::connect`] to the same `(addr, port)` *will* do and
-/// roughly when; the blocking [`Internet::connect`] on the probe's
-/// private clock fork remains the path that actually pays the latency
-/// (and, for lazy worlds, materializes the host). The hint for an
-/// unmaterialized host is approximate, so it must never feed record
-/// contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectPoll {
-    /// A listener accepts: the handshake will complete after one RTT.
-    /// `rtt_micros` is `None` when only the lazy resolver knows the host
-    /// (its RTT is fixed at materialization time).
-    Listening {
-        /// Round-trip time, if the host is already bound.
-        rtt_micros: Option<u32>,
-    },
-    /// The host is up but nothing listens on the port: RST after one RTT.
-    Refused {
-        /// Round-trip time, if the host is already bound.
-        rtt_micros: Option<u32>,
-    },
-    /// Nothing answers at the address: SYN timeout.
-    NoRoute {
-        /// How long the scanner will wait before giving up.
-        timeout_micros: u64,
-    },
-    /// A rate-limiting firewall will eat the SYN: no stream, only the
-    /// penalty wait ([`ConnectError::Throttled`]).
-    Throttled {
-        /// Virtual microseconds the penalty costs the scanner.
-        penalty_micros: u64,
-    },
-    /// A silent tarpit will accept and then stall
-    /// ([`ConnectError::Stalled`]).
-    Stalled {
-        /// Virtual microseconds until the scanner gives up on the
-        /// stalled connection (RTT plus the stall budget).
-        micros: u64,
-    },
-}
-
-impl ConnectPoll {
-    /// A host's answer to a SYN: accept if `listening`, else RST.
-    fn answered(listening: bool, rtt_micros: Option<u32>) -> ConnectPoll {
-        if listening {
-            ConnectPoll::Listening { rtt_micros }
-        } else {
-            ConnectPoll::Refused { rtt_micros }
-        }
-    }
-
-    /// True if a blocking connect would succeed.
-    pub fn will_accept(&self) -> bool {
-        matches!(self, ConnectPoll::Listening { .. })
-    }
-
-    /// How many virtual microseconds until the connect attempt resolves
-    /// (handshake completes, RST arrives, the SYN times out, or a fault
-    /// burns its budget).
-    pub fn latency_hint_micros(&self) -> u64 {
-        match self {
-            ConnectPoll::Listening { rtt_micros } | ConnectPoll::Refused { rtt_micros } => {
-                rtt_micros.map_or(DEFAULT_RTT_HINT_MICROS, u64::from)
-            }
-            ConnectPoll::NoRoute { timeout_micros } => *timeout_micros,
-            ConnectPoll::Throttled { penalty_micros } => *penalty_micros,
-            ConnectPoll::Stalled { micros } => *micros,
-        }
-    }
+/// Where a SYN to `(addr, port)` lands, before any injected fault: the
+/// one occupancy decision behind every query and connect.
+struct Route {
+    /// Something listens on the port (else the host answers RST).
+    listening: bool,
+    /// The bound host's RTT; `None` while only the lazy resolver knows
+    /// the host (its RTT is fixed at materialization).
+    rtt_micros: Option<u32>,
 }
 
 struct HostEntry {
@@ -250,7 +180,7 @@ impl Occupancy<'_> {
     pub fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
         self.net
             .route(self.layout.as_deref(), addr, port)
-            .will_accept()
+            .is_some_and(|route| route.listening)
     }
 }
 
@@ -407,25 +337,24 @@ impl Internet {
         self.shared.resolver.get().and_then(|r| r.layout())
     }
 
-    /// The one occupancy decision, as a fault-free [`ConnectPoll`]: the
+    /// The one occupancy decision, `None` when nothing answers: the
     /// bound table unless the "ever bound" filter rules it out, then
     /// `layout` (whose hosts have no RTT until bound).
-    fn route(&self, layout: Option<&dyn HostLayout>, addr: Ipv4, port: u16) -> ConnectPoll {
+    fn route(&self, layout: Option<&dyn HostLayout>, addr: Ipv4, port: u16) -> Option<Route> {
         let (word, mask) = ever_bound_slot(addr);
         if self.shared.ever_bound[word].load(Ordering::Acquire) & mask != 0 {
             if let Some(host) = read(&self.shared.hosts).get(&addr.0) {
-                let listening = host.services.contains_key(&port);
-                return ConnectPoll::answered(listening, Some(host.rtt_micros));
+                return Some(Route {
+                    listening: host.services.contains_key(&port),
+                    rtt_micros: Some(host.rtt_micros),
+                });
             }
         }
-        match layout {
-            Some(layout) if layout.host_exists(addr) => {
-                ConnectPoll::answered(layout.has_listener(addr, port), None)
-            }
-            _ => ConnectPoll::NoRoute {
-                timeout_micros: SYN_TIMEOUT_MICROS,
-            },
-        }
+        let layout = layout.filter(|layout| layout.host_exists(addr))?;
+        Some(Route {
+            listening: layout.has_listener(addr, port),
+            rtt_micros: None,
+        })
     }
 
     /// A sweep's occupancy view over one layout snapshot: take one per
@@ -440,10 +369,7 @@ impl Internet {
     /// True if a host exists at `addr` — bound or resolver-known.
     pub fn host_exists(&self, addr: Ipv4) -> bool {
         // Nothing listens on the reserved port 0: only presence counts.
-        !matches!(
-            self.route(self.layout().as_deref(), addr, 0),
-            ConnectPoll::NoRoute { .. }
-        )
+        self.route(self.layout().as_deref(), addr, 0).is_some()
     }
 
     /// SYN-probe semantics: does anything listen on `(addr, port)`?
@@ -472,42 +398,6 @@ impl Internet {
         v
     }
 
-    /// Predicts what [`Internet::connect`] to `(to, port)` would do,
-    /// without blocking, clock cost, or side effects.
-    ///
-    /// Shares `connect`'s route decision — bound table first, then the
-    /// lazy resolver — but never materializes a host and never touches
-    /// the clock. See [`ConnectPoll`] for how the answer (and its
-    /// latency hint) is meant to be used.
-    pub fn poll_connect(&self, to: Ipv4, port: u16) -> ConnectPoll {
-        let base = self.route(self.layout().as_deref(), to, port);
-        if let ConnectPoll::NoRoute { .. } = base {
-            return base;
-        }
-        // Routable: overlay the first attempt's middlebox fate, exactly
-        // as the blocking `connect` (attempt 0) will resolve it.
-        let profile = self.profile_of(to);
-        if profile.is_polite() {
-            return base;
-        }
-        match profile.connect_fate(0) {
-            ConnectFate::Deliver => base,
-            ConnectFate::SynLost => ConnectPoll::NoRoute {
-                timeout_micros: SYN_TIMEOUT_MICROS,
-            },
-            ConnectFate::Throttled { penalty_micros } => ConnectPoll::Throttled { penalty_micros },
-            // A silent tarpit (no dribble) fails the connect after RTT +
-            // stall; a dribbling one hands out a stream like any
-            // listener — it just never says anything useful.
-            ConnectFate::Tarpit(tarpit) if base.will_accept() && tarpit.dribble_bytes == 0 => {
-                ConnectPoll::Stalled {
-                    micros: base.latency_hint_micros() + tarpit.stall_micros,
-                }
-            }
-            ConnectFate::Tarpit(_) => base,
-        }
-    }
-
     /// Route resolution, the fault-free half of a connect: `(listening,
     /// rtt)` of the host bound at `to` (materialized first if only the
     /// resolver knew it), or `None` when nothing answers — *routing*
@@ -515,18 +405,13 @@ impl Internet {
     fn bound_route(&self, to: Ipv4, port: u16) -> Option<(bool, u32)> {
         let layout = self.layout();
         for first_contact in [true, false] {
-            let poll = self.route(layout.as_deref(), to, port);
-            match poll {
-                ConnectPoll::Listening { rtt_micros } | ConnectPoll::Refused { rtt_micros } => {
-                    match (rtt_micros, self.shared.resolver.get()) {
-                        (Some(rtt), _) => return Some((poll.will_accept(), rtt)),
-                        // Only the resolver knows the host. No hosts lock is
-                        // held here: materialize() needs the write side.
-                        (None, Some(resolver)) if first_contact => resolver.materialize(self, to),
-                        (None, _) => return None,
-                    }
-                }
-                _ => return None,
+            let route = self.route(layout.as_deref(), to, port)?;
+            match (route.rtt_micros, self.shared.resolver.get()) {
+                (Some(rtt), _) => return Some((route.listening, rtt)),
+                // Only the resolver knows the host. No hosts lock is
+                // held here: materialize() needs the write side.
+                (None, Some(resolver)) if first_contact => resolver.materialize(self, to),
+                (None, _) => return None,
             }
         }
         None
@@ -641,14 +526,20 @@ mod tests {
 
     #[test]
     fn connect_routes_and_errors() {
-        let net = Internet::new(VirtualClock::starting_at(0));
+        let clock = VirtualClock::starting_at(0);
+        let net = Internet::new(clock.clone());
         let ip = Ipv4::new(198, 51, 100, 1);
+        let ghost = Ipv4::new(9, 9, 9, 9);
         net.add_host(ip, 10_000);
         net.bind(ip, 4840, Arc::new(Echo));
 
+        // Occupancy queries are free: no clock cost, bound or not.
         assert!(net.host_exists(ip));
         assert!(net.has_listener(ip, 4840));
         assert!(!net.has_listener(ip, 80));
+        assert!(!net.host_exists(ghost));
+        assert!(!net.has_listener(ghost, 4840));
+        assert_eq!(clock.now_micros(), 0);
 
         // Refused on closed port.
         assert_eq!(
@@ -657,8 +548,7 @@ mod tests {
         );
         // No route to unknown host.
         assert_eq!(
-            net.connect(Ipv4::new(1, 1, 1, 1), Ipv4::new(9, 9, 9, 9), 4840)
-                .err(),
+            net.connect(Ipv4::new(1, 1, 1, 1), ghost, 4840).err(),
             Some(ConnectError::NoRoute)
         );
         // Success.
@@ -743,18 +633,21 @@ mod tests {
 
     #[test]
     fn resolver_backs_table_misses_and_materializes_on_connect() {
-        let net = Internet::new(VirtualClock::starting_at(0));
+        let clock = VirtualClock::starting_at(0);
+        let net = Internet::new(clock.clone());
         let target = Ipv4::new(10, 9, 9, 9);
         let resolver = LazyEcho::new(target);
         net.set_resolver(resolver.clone());
 
-        // SYN probes answer from the predicate without materializing.
+        // SYN probes answer from the predicate without materializing
+        // and without clock cost.
         assert!(net.has_listener(target, 4840));
         assert!(!net.has_listener(target, 80));
         assert!(net.host_exists(target));
         assert!(!net.host_exists(Ipv4::new(10, 9, 9, 8)));
         assert_eq!(net.host_count(), 0);
         assert_eq!(resolver.materialized(), 0);
+        assert_eq!(clock.now_micros(), 0);
 
         // First contact materializes exactly once; afterwards the bound
         // table answers directly.
@@ -765,6 +658,13 @@ mod tests {
         assert_eq!(net.host_count(), 1);
         let _ = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
         assert_eq!(resolver.materialized(), 1);
+        // Now bound, the host answers with the RTT it materialized with.
+        let before = clock.now_micros();
+        assert_eq!(
+            net.connect(Ipv4::new(1, 1, 1, 1), target, 80).err(),
+            Some(ConnectError::Refused)
+        );
+        assert_eq!(clock.now_micros() - before, 5_000);
 
         // Clock views share the resolver.
         let view = net.with_clock(VirtualClock::starting_at(0));
@@ -775,93 +675,6 @@ mod tests {
             net.connect(Ipv4::new(1, 1, 1, 1), Ipv4::new(10, 9, 9, 8), 4840)
                 .err(),
             Some(ConnectError::NoRoute)
-        );
-    }
-
-    #[test]
-    fn poll_connect_predicts_connect_without_side_effects() {
-        let clock = VirtualClock::starting_at(0);
-        let net = Internet::new(clock.clone());
-        let ip = Ipv4::new(198, 51, 100, 7);
-        net.add_host(ip, 12_000);
-        net.bind(ip, 4840, Arc::new(Echo));
-        let from = Ipv4::new(1, 1, 1, 1);
-
-        // Listening: hint equals the RTT the blocking connect charges.
-        let poll = net.poll_connect(ip, 4840);
-        assert_eq!(
-            poll,
-            ConnectPoll::Listening {
-                rtt_micros: Some(12_000)
-            }
-        );
-        assert!(poll.will_accept());
-        let before = clock.now_micros();
-        let stream = net.connect(from, ip, 4840).unwrap();
-        assert_eq!(clock.now_micros() - before, poll.latency_hint_micros());
-        assert_eq!(u64::from(stream.rtt_micros()), poll.latency_hint_micros());
-
-        // Refused: same RTT, RST path.
-        let poll = net.poll_connect(ip, 80);
-        assert_eq!(
-            poll,
-            ConnectPoll::Refused {
-                rtt_micros: Some(12_000)
-            }
-        );
-        let before = clock.now_micros();
-        assert_eq!(net.connect(from, ip, 80).err(), Some(ConnectError::Refused));
-        assert_eq!(clock.now_micros() - before, poll.latency_hint_micros());
-
-        // NoRoute: hint equals the SYN timeout the blocking path pays.
-        let ghost = Ipv4::new(9, 9, 9, 9);
-        let poll = net.poll_connect(ghost, 4840);
-        assert_eq!(
-            poll,
-            ConnectPoll::NoRoute {
-                timeout_micros: SYN_TIMEOUT_MICROS
-            }
-        );
-        let before = clock.now_micros();
-        assert_eq!(
-            net.connect(from, ghost, 4840).err(),
-            Some(ConnectError::NoRoute)
-        );
-        assert_eq!(clock.now_micros() - before, SYN_TIMEOUT_MICROS);
-
-        // Polling never advanced the clock itself.
-        let before = clock.now_micros();
-        let _ = net.poll_connect(ip, 4840);
-        assert_eq!(clock.now_micros(), before);
-    }
-
-    #[test]
-    fn poll_connect_answers_from_resolver_without_materializing() {
-        let net = Internet::new(VirtualClock::starting_at(0));
-        let target = Ipv4::new(10, 9, 9, 9);
-        net.set_resolver(LazyEcho::new(target));
-
-        // Known to the resolver, not yet bound: Listening, RTT unknown,
-        // and *nothing* materializes.
-        assert_eq!(
-            net.poll_connect(target, 4840),
-            ConnectPoll::Listening { rtt_micros: None }
-        );
-        assert_eq!(
-            net.poll_connect(target, 80),
-            ConnectPoll::Refused { rtt_micros: None }
-        );
-        assert_eq!(net.host_count(), 0);
-        // The unknown-RTT hint still schedules something sensible.
-        assert!(net.poll_connect(target, 4840).latency_hint_micros() > 0);
-
-        // After first contact the bound table answers with the real RTT.
-        let _ = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
-        assert_eq!(
-            net.poll_connect(target, 4840),
-            ConnectPoll::Listening {
-                rtt_micros: Some(5_000)
-            }
         );
     }
 
@@ -992,86 +805,6 @@ mod tests {
             Some(ConnectError::NoRoute)
         );
         assert_eq!(clock.now_micros() - before, SYN_TIMEOUT_MICROS);
-    }
-
-    #[test]
-    fn poll_connect_predicts_faulted_connects() {
-        use crate::faults::{FirewallProfile, NetProfile, StaticProfiles, TarpitProfile};
-        let clock = VirtualClock::starting_at(0);
-        let net = Internet::new(clock.clone());
-        let from = Ipv4::new(1, 1, 1, 1);
-        let rtt = 10_000_u32;
-        let throttled = Ipv4::new(10, 1, 0, 1);
-        let silent_tarpit = Ipv4::new(10, 1, 0, 2);
-        let lossy = Ipv4::new(10, 1, 0, 3);
-        for ip in [throttled, silent_tarpit, lossy] {
-            net.add_host(ip, rtt);
-            net.bind(ip, 4840, Arc::new(Echo));
-        }
-        let stall = 5_000_000_u64;
-        let penalty = 2_000_000_u64;
-        let profiles = StaticProfiles::new()
-            .with(
-                throttled,
-                NetProfile {
-                    firewall: Some(FirewallProfile {
-                        strikes: 1,
-                        penalty_micros: penalty,
-                    }),
-                    ..NetProfile::polite()
-                },
-            )
-            .with(
-                silent_tarpit,
-                NetProfile {
-                    tarpit: Some(TarpitProfile {
-                        stall_micros: stall,
-                        dribble_bytes: 0,
-                    }),
-                    ..NetProfile::polite()
-                },
-            )
-            .with(
-                lossy,
-                NetProfile {
-                    fault_seed: 7,
-                    syn_loss_permille: 1000,
-                    ..NetProfile::polite()
-                },
-            );
-        net.set_profiles(Arc::new(profiles));
-
-        // Each poll's hint equals the blocking attempt-0 cost, and the
-        // poll itself never advances the clock.
-        for (ip, want) in [
-            (
-                throttled,
-                ConnectPoll::Throttled {
-                    penalty_micros: penalty,
-                },
-            ),
-            (
-                silent_tarpit,
-                ConnectPoll::Stalled {
-                    micros: u64::from(rtt) + stall,
-                },
-            ),
-            (
-                lossy,
-                ConnectPoll::NoRoute {
-                    timeout_micros: SYN_TIMEOUT_MICROS,
-                },
-            ),
-        ] {
-            let before = clock.now_micros();
-            let poll = net.poll_connect(ip, 4840);
-            assert_eq!(clock.now_micros(), before);
-            assert_eq!(poll, want);
-            assert!(!poll.will_accept());
-            let before = clock.now_micros();
-            assert!(net.connect_attempt(from, ip, 4840, 0).is_err());
-            assert_eq!(clock.now_micros() - before, poll.latency_hint_micros());
-        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   a retrying scanner must survive;
 //! * [`stream`] — TCP-like client streams with latency and traffic
 //!   accounting;
-//! * [`sweep`] — zmap's cyclic-group address permutation and a SYN
-//!   scanner with blocklist and probe-rate modeling.
+//! * [`sweep`] — zmap's cyclic-group address permutation and a
+//!   clock-neutral SYN scanner with blocklist accounting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,11 +35,11 @@ pub use faults::{
     TarpitProfile,
 };
 pub use internet::{
-    ConnectError, ConnectPoll, Connection, ConnectionOutput, HostLayout, HostResolver, Internet,
-    Occupancy, Service, SYN_TIMEOUT_MICROS,
+    ConnectError, Connection, ConnectionOutput, HostLayout, HostResolver, Internet, Occupancy,
+    Service, SYN_TIMEOUT_MICROS,
 };
 pub use stream::{ByteStream, ConnectionStats, LoopbackStream, StreamError, TcpStreamSim};
 pub use sweep::{
-    ipv4_permutation, CycleWalk, PermutedRange, SweepChunks, SweepConfig, SweepResult, SweepStats,
-    SweepWalk, SynScanner,
+    ipv4_permutation, CycleWalk, PermutedRange, SweepChunks, SweepConfig, SweepStats, SweepWalk,
+    SynScanner,
 };

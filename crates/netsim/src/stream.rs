@@ -110,8 +110,7 @@ impl TcpStreamSim {
     }
 
     /// The connection's round-trip time — the latency every
-    /// request/response pair on this stream pays; [`crate::ConnectPoll`]
-    /// hints can be checked against it.
+    /// request/response pair on this stream pays.
     pub fn rtt_micros(&self) -> u32 {
         self.rtt_micros
     }

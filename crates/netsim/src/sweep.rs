@@ -8,7 +8,9 @@
 //! (verified on small primes in tests; the full 2³² walk is available but
 //! gated to benches), plus a bounded [`PermutedRange`] used to randomize
 //! scan order within configurable universes, and the [`SynScanner`]
-//! driver with blocklist and probe-rate accounting.
+//! driver with blocklist accounting. Sweeps are clock-neutral: the
+//! `scanner` pipeline charges probe pacing to the campaign clock once,
+//! from the summed [`SweepStats`].
 
 use crate::cidr::{Blocklist, Cidr, Ipv4};
 use crate::internet::{Internet, Occupancy};
@@ -414,42 +416,24 @@ impl Iterator for SweepWalk {
     }
 }
 
-/// Probe-rate configuration for a sweep.
+/// What a sweep probes.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
-    /// Probes per second (zmap default-ish; the paper spread a full scan
-    /// over ~24 h, i.e. ≈50 kpps).
-    pub probes_per_second: u64,
     /// TCP port to probe.
     pub port: u16,
 }
 
 impl Default for SweepConfig {
     fn default() -> Self {
-        SweepConfig {
-            probes_per_second: 50_000,
-            port: 4840,
-        }
+        SweepConfig { port: 4840 }
     }
 }
 
-/// Result of a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// Addresses with an open target port, in discovery order.
-    pub responsive: Vec<Ipv4>,
-    /// Probes sent (excluded addresses are not probed).
-    pub probes_sent: u64,
-    /// Addresses skipped due to the blocklist.
-    pub blocklisted: u64,
-}
-
-/// Aggregate accounting of a streamed sweep ([`SynScanner::sweep_each`]):
-/// everything [`SweepResult`] carries except the responsive addresses
-/// themselves, which are handed to the caller one by one instead of being
-/// collected. A full-IPv4 sweep finds tens of thousands of hosts; keeping
-/// them out of a `Vec` lets downstream stages start probing while the
-/// sweep is still walking the permutation.
+/// Aggregate accounting of a sweep. The responsive addresses themselves
+/// are handed to the caller one by one instead of being collected: a
+/// full-IPv4 sweep finds tens of thousands of hosts, and keeping them out
+/// of a `Vec` lets downstream stages start probing while the sweep is
+/// still walking the permutation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Probes sent (excluded addresses are not probed).
@@ -477,49 +461,6 @@ impl<'a> SynScanner<'a> {
         }
     }
 
-    /// Probes every address of `universe` (a set of CIDR blocks) in
-    /// permuted order, advancing the virtual clock at the configured
-    /// probe rate. This is the sweep the scanner's weekly campaign runs;
-    /// the full 0.0.0.0/0 universe is the paper's actual configuration
-    /// and works identically (benches exercise a sampled slice for
-    /// wall-clock reasons — see DESIGN.md).
-    pub fn sweep<R: Rng + ?Sized>(&self, universe: &[Cidr], rng: &mut R) -> SweepResult {
-        let mut responsive = Vec::new();
-        let stats = self.sweep_each(universe, rng, |addr| responsive.push(addr));
-        SweepResult {
-            responsive,
-            probes_sent: stats.probes_sent,
-            blocklisted: stats.blocklisted,
-        }
-    }
-
-    /// Streaming variant of [`Self::sweep`]: invokes `on_responsive` for
-    /// every address with an open target port, in discovery order, and
-    /// returns only the aggregate accounting. This is the probe API the
-    /// `scanner` crate's pipeline drives — responsive hosts flow into the
-    /// application-layer probes without an intermediate `Vec`.
-    pub fn sweep_each<R, F>(
-        &self,
-        universe: &[Cidr],
-        rng: &mut R,
-        mut on_responsive: F,
-    ) -> SweepStats
-    where
-        R: Rng + ?Sized,
-        F: FnMut(Ipv4),
-    {
-        let stats = self.sweep_shard(universe, rng, 0, 1, |_pos, addr| on_responsive(addr));
-        // Account the sweep duration once: probes are asynchronous.
-        // Pacing is tracked in microseconds — integer-second division
-        // would advance the clock by 0 for any sweep shorter than one
-        // second of probes and drop the fractional remainder of longer
-        // ones.
-        let micros =
-            stats.probes_sent.saturating_mul(1_000_000) / self.config.probes_per_second.max(1);
-        self.internet.clock().advance_micros(micros);
-        stats
-    }
-
     /// One shard of a sweep: every shard derives the *same* permutation
     /// (the walk is a function of `rng`'s state alone) but generates
     /// only its own steps `shard, shard + shards, …` via cycle striding
@@ -529,8 +470,8 @@ impl<'a> SynScanner<'a> {
     /// into the exact discovery order a single-shard sweep produces.
     ///
     /// Clock-neutral: the caller accounts the sweep duration once from
-    /// the summed stats (see [`Self::sweep_each`]); shard stats are
-    /// disjoint and sum to the single-shard totals. That split is what
+    /// the summed stats; shard stats are disjoint and sum to the
+    /// single-shard totals. That split is what
     /// makes cancellation safe: an aborted sweep simply never reaches
     /// the accounting step, so no pacing (and no discarded probe's fork
     /// time) ever leaks onto the campaign clock.
@@ -727,11 +668,14 @@ mod tests {
         let blocklist = Blocklist::new();
         let mut rng = StdRng::seed_from_u64(3);
         let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-        let result = scanner.sweep(&[universe], &mut rng);
-        let found: HashSet<Ipv4> = result.responsive.iter().copied().collect();
+        let mut found = HashSet::new();
+        let stats = scanner.sweep_shard(&[universe], &mut rng, 0, 1, |_, addr| {
+            assert!(found.insert(addr), "{addr} reported twice");
+        });
         assert_eq!(found, expected);
-        assert_eq!(result.probes_sent, universe.size());
-        assert_eq!(result.blocklisted, 0);
+        assert_eq!(stats.responsive, expected.len() as u64);
+        assert_eq!(stats.probes_sent, universe.size());
+        assert_eq!(stats.blocklisted, 0);
     }
 
     #[test]
@@ -746,81 +690,12 @@ mod tests {
         blocklist.add_str("10.1.0.32/27").unwrap(); // covers .32-.63
         let mut rng = StdRng::seed_from_u64(4);
         let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-        let result = scanner.sweep(&[universe], &mut rng);
-        assert!(
-            result.responsive.is_empty(),
-            "opted-out host must not be probed"
-        );
-        assert_eq!(result.blocklisted, 32);
-        assert_eq!(result.probes_sent, 256 - 32);
-    }
-
-    #[test]
-    fn sweep_advances_clock_by_rate() {
-        let clock = VirtualClock::starting_at(0);
-        let net = Internet::new(clock.clone());
-        let universe: Cidr = "10.2.0.0/16".parse().unwrap(); // 65536 probes
-        let blocklist = Blocklist::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let scanner = SynScanner::new(
-            &net,
-            &blocklist,
-            SweepConfig {
-                probes_per_second: 1000,
-                port: 4840,
-            },
-        );
-        scanner.sweep(&[universe], &mut rng);
-        // 65536 probes at 1000/s = 65.536 s, accounted to the micro.
-        assert_eq!(clock.now_micros(), 65_536_000);
-        assert_eq!(clock.now_unix_seconds(), 65);
-    }
-
-    #[test]
-    fn sub_second_sweep_still_advances_clock() {
-        // A /28 (16 probes) at 1000 probes/s is 16 ms of pacing.
-        // Integer-second accounting would advance the clock by zero.
-        let clock = VirtualClock::starting_at(0);
-        let net = Internet::new(clock.clone());
-        let universe: Cidr = "10.2.0.0/28".parse().unwrap();
-        let blocklist = Blocklist::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let scanner = SynScanner::new(
-            &net,
-            &blocklist,
-            SweepConfig {
-                probes_per_second: 1000,
-                port: 4840,
-            },
-        );
-        scanner.sweep(&[universe], &mut rng);
-        assert_eq!(clock.now_micros(), 16_000);
-    }
-
-    #[test]
-    fn sweep_each_matches_collected_sweep() {
-        let net = Internet::new(VirtualClock::starting_at(0));
-        let universe: Cidr = "10.9.0.0/24".parse().unwrap();
-        for i in [3u32, 77, 200] {
-            let addr = Ipv4(universe.base.0 + i);
-            net.add_host(addr, 1000);
-            net.bind(addr, 4840, Arc::new(NopService));
-        }
-        let mut blocklist = Blocklist::new();
-        blocklist.add_str("10.9.0.64/26").unwrap(); // covers .64-.127 (77)
-        let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-
-        let mut rng = StdRng::seed_from_u64(21);
-        let collected = scanner.sweep(&[universe], &mut rng);
-
-        let mut streamed = Vec::new();
-        let mut rng = StdRng::seed_from_u64(21);
-        let stats = scanner.sweep_each(&[universe], &mut rng, |a| streamed.push(a));
-
-        assert_eq!(streamed, collected.responsive);
-        assert_eq!(stats.probes_sent, collected.probes_sent);
-        assert_eq!(stats.blocklisted, collected.blocklisted);
-        assert_eq!(stats.responsive as usize, collected.responsive.len());
+        let stats = scanner.sweep_shard(&[universe], &mut rng, 0, 1, |_, addr| {
+            panic!("opted-out host {addr} must not be probed")
+        });
+        assert_eq!(stats.responsive, 0);
+        assert_eq!(stats.blocklisted, 32);
+        assert_eq!(stats.probes_sent, 256 - 32);
     }
 
     #[test]
@@ -1048,6 +923,28 @@ mod tests {
     }
 
     #[test]
+    fn sweeps_are_clock_neutral() {
+        // Pacing is the caller's to charge, once, from the summed stats:
+        // neither a shard nor a chunked sweep touches the clock.
+        let clock = VirtualClock::starting_at(0);
+        let net = Internet::new(clock.clone());
+        let universe: Cidr = "10.2.0.0/20".parse().unwrap();
+        let host = Ipv4::new(10, 2, 3, 4);
+        net.add_host(host, 1000);
+        net.bind(host, 4840, Arc::new(NopService));
+        let blocklist = Blocklist::new();
+        let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
+        let shard =
+            scanner.sweep_shard(&[universe], &mut StdRng::seed_from_u64(5), 0, 1, |_, _| {});
+        let chunks = SweepChunks::new(&[universe], &mut StdRng::seed_from_u64(5));
+        let chunked = scanner.sweep_chunks(&chunks, || false, |_, _| {});
+        assert_eq!(shard.probes_sent, universe.size());
+        assert_eq!(chunked, shard);
+        assert_eq!(shard.responsive, 1);
+        assert_eq!(clock.now_micros(), 0);
+    }
+
+    #[test]
     fn sweep_multiple_blocks() {
         let net = Internet::new(VirtualClock::starting_at(0));
         let a: Cidr = "10.3.0.0/28".parse().unwrap();
@@ -1058,8 +955,9 @@ mod tests {
         let blocklist = Blocklist::new();
         let mut rng = StdRng::seed_from_u64(6);
         let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-        let result = scanner.sweep(&[a, b], &mut rng);
-        assert_eq!(result.responsive, vec![host]);
-        assert_eq!(result.probes_sent, 32);
+        let mut responsive = Vec::new();
+        let stats = scanner.sweep_shard(&[a, b], &mut rng, 0, 1, |_, addr| responsive.push(addr));
+        assert_eq!(responsive, vec![host]);
+        assert_eq!(stats.probes_sent, 32);
     }
 }

@@ -958,7 +958,7 @@ impl LazyWorld {
 mod tests {
     use super::*;
     use crate::{ChurnConfig, EvolvingWorld, StrataMix};
-    use netsim::{ConnectError, ConnectPoll, VirtualClock};
+    use netsim::{ConnectError, VirtualClock};
 
     const EPOCH: u64 = 1_581_206_400;
     const WEEK_MICROS: u64 = 7 * 86_400 * 1_000_000;
@@ -1098,10 +1098,6 @@ mod tests {
                 assert!(!net.host_exists(addr), "{addr}");
                 assert!(!net.has_listener(addr, cfg.port), "{addr}");
                 assert!(!snapshot.has_listener(addr, cfg.port), "{addr}");
-                assert!(matches!(
-                    net.poll_connect(addr, cfg.port),
-                    ConnectPoll::NoRoute { .. }
-                ));
             }
             assert_eq!(
                 net.connect(SCANNER, listening[0], cfg.port).err(),

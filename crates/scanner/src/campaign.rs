@@ -66,36 +66,6 @@ pub struct WeeklyScan {
     pub records: Vec<ScanRecord>,
 }
 
-/// How a resumable weekly campaign ended.
-// The size gap vs the boxed checkpoint is fine: the outcome is
-// destructured immediately by the caller, never stored in bulk.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum WeekOutcome {
-    /// The week's sweep ran to completion.
-    Complete(WeeklyScan),
-    /// Cancellation was observed mid-week; pass the checkpoint to
-    /// [`Campaign::resume_week`] to finish the week. The shared
-    /// campaign clock is untouched — an aborted week consumed no
-    /// campaign time.
-    Aborted(Box<WeekCheckpoint>),
-}
-
-/// A week frozen mid-sweep: the records emitted so far plus the
-/// scan's [`SweepCheckpoint`]. Resuming prepends the partial records,
-/// so a stitched [`WeeklyScan`] is byte-identical to an uninterrupted
-/// one (modulo the cert-interner `sightings` telemetry — see
-/// [`SweepCheckpoint`]).
-#[derive(Debug)]
-pub struct WeekCheckpoint {
-    /// Week index the abort landed in.
-    pub week: u32,
-    /// Records emitted before the abort, in discovery order.
-    pub records: Vec<ScanRecord>,
-    /// The scan's resume point.
-    pub sweep: SweepCheckpoint,
-}
-
 /// Drives weekly campaigns against one (evolving) universe.
 pub struct Campaign {
     scanner: Scanner,
@@ -103,6 +73,9 @@ pub struct Campaign {
     certs: CertStore,
     epoch_micros: u64,
     weeks_run: u32,
+    /// The week an abort froze mid-sweep: the records emitted so far and
+    /// the scan's resume point. The next weekly call continues it.
+    paused: Option<(Vec<ScanRecord>, SweepCheckpoint)>,
 }
 
 impl Campaign {
@@ -121,6 +94,7 @@ impl Campaign {
             certs: CertStore::new(),
             epoch_micros,
             weeks_run: 0,
+            paused: None,
         }
     }
 
@@ -142,7 +116,8 @@ impl Campaign {
     /// Runs the next weekly campaign: pins the clock to the week's
     /// epoch, calls `evolve` with the week index (0 for the initial
     /// campaign — evolution conventionally skips it), then sweeps
-    /// `universe` with a week-derived seed.
+    /// `universe` with a week-derived seed. A week an earlier
+    /// [`Self::run_week_resumable`] aborted is finished instead.
     ///
     /// Panics if the previous campaign overran the week — a study whose
     /// sweeps are slower than its cadence has no well-defined weekly
@@ -151,84 +126,51 @@ impl Campaign {
     where
         F: FnOnce(u32),
     {
-        match self.run_week_resumable(universe, seed, evolve, &CancelToken::new()) {
-            WeekOutcome::Complete(scan) => scan,
-            WeekOutcome::Aborted(_) => unreachable!("a fresh CancelToken never cancels"),
-        }
+        let Some(scan) = self.run_week_resumable(universe, seed, evolve, &CancelToken::new())
+        else {
+            unreachable!("a fresh CancelToken never cancels")
+        };
+        scan
     }
 
-    /// [`Self::run_week`] with a cancellation hook: the week can be
-    /// aborted at any record boundary and finished later with
-    /// [`Self::resume_week`].
-    ///
-    /// An abort happens *after* both the epoch jump and `evolve`, so the
-    /// world is already in its week-`k` state and must not be evolved
-    /// again on resume. `weeks_run` only advances when the week
-    /// completes.
+    /// [`Self::run_week`] with a cancellation hook: `None` means the
+    /// week was aborted at a record boundary. The campaign keeps the
+    /// records emitted so far and the scan's [`SweepCheckpoint`], and the
+    /// next call (with the same `seed`) continues that week: it neither
+    /// re-pins the epoch nor calls `evolve` again, since the world is
+    /// already in its week-`k` state and the shared clock has not moved
+    /// since the abort. The stitched [`WeeklyScan`] is byte-identical to
+    /// an uninterrupted one (modulo the cert-interner `sightings`
+    /// telemetry — see [`SweepCheckpoint`]). `weeks_run` only advances
+    /// when the week completes.
     pub fn run_week_resumable<F>(
         &mut self,
         universe: &[Cidr],
         seed: u64,
         evolve: F,
         cancel: &CancelToken,
-    ) -> WeekOutcome
+    ) -> Option<WeeklyScan>
     where
         F: FnOnce(u32),
     {
         let week = self.weeks_run;
-        let target = self.epoch_micros + u64::from(week) * self.config.week_seconds * 1_000_000;
-        let clock = self.scanner.internet().clock();
-        assert!(
-            week == 0 || clock.now_micros() < target,
-            "week {week} campaign would start late: the previous sweep overran the \
-             {}s cadence",
-            self.config.week_seconds
-        );
-        clock.advance_to_micros(target);
-        evolve(week);
-        self.finish_week(universe, seed, week, Vec::new(), None, cancel)
-    }
-
-    /// Continues a week aborted by [`Self::run_week_resumable`] (or a
-    /// previous `resume_week` — aborts can nest). `seed` is the same
-    /// campaign seed the week was started with. Does *not* re-evolve
-    /// the universe and does not re-pin the epoch: the checkpoint
-    /// carries the exact epoch instant, and the shared clock has not
-    /// moved since the abort.
-    pub fn resume_week(
-        &mut self,
-        universe: &[Cidr],
-        seed: u64,
-        checkpoint: WeekCheckpoint,
-        cancel: &CancelToken,
-    ) -> WeekOutcome {
-        let week = checkpoint.week;
-        assert_eq!(
-            week, self.weeks_run,
-            "checkpoint is for week {week} but the campaign is at week {}",
-            self.weeks_run
-        );
-        self.finish_week(
-            universe,
-            seed,
-            week,
-            checkpoint.records,
-            Some(checkpoint.sweep),
-            cancel,
-        )
-    }
-
-    /// Shared tail of the weekly paths: runs (or continues) the week's
-    /// scan, stitching `records` in front of whatever it emits.
-    fn finish_week(
-        &mut self,
-        universe: &[Cidr],
-        seed: u64,
-        week: u32,
-        mut records: Vec<ScanRecord>,
-        resume: Option<SweepCheckpoint>,
-        cancel: &CancelToken,
-    ) -> WeekOutcome {
+        let (mut records, resume) = match self.paused.take() {
+            Some((records, checkpoint)) => (records, Some(checkpoint)),
+            None => {
+                let target =
+                    self.epoch_micros + u64::from(week) * self.config.week_seconds * 1_000_000;
+                let clock = self.scanner.internet().clock();
+                assert!(
+                    week == 0 || clock.now_micros() < target,
+                    "week {week} campaign would start late: the previous sweep overran the \
+                     {}s cadence",
+                    self.config.week_seconds
+                );
+                clock.advance_to_micros(target);
+                evolve(week);
+                (Vec::new(), None)
+            }
+        };
         // A fresh permutation per week (the paper re-randomized each
         // campaign), still a pure function of (seed, week).
         let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -240,17 +182,16 @@ impl Campaign {
         match outcome {
             ScanOutcome::Complete { summary } => {
                 self.weeks_run += 1;
-                WeekOutcome::Complete(WeeklyScan {
+                Some(WeeklyScan {
                     week,
                     summary,
                     records,
                 })
             }
-            ScanOutcome::Aborted { checkpoint } => WeekOutcome::Aborted(Box::new(WeekCheckpoint {
-                week,
-                records,
-                sweep: *checkpoint,
-            })),
+            ScanOutcome::Aborted { checkpoint } => {
+                self.paused = Some((records, *checkpoint));
+                None
+            }
         }
     }
 }

@@ -14,12 +14,12 @@
 //!   several protocols over the same engine;
 //! * [`url`] — `opc.tcp://host:port/path` parsing and normalization,
 //!   the canonical form referral deduplication relies on;
-//! * [`pipeline`] — the campaign driver, one engine for every entry
+//! * [`pipeline`] — the campaign driver, one engine behind every entry
 //!   point: zmap-style sweep streamed straight into the probe stack, a
 //!   deterministic breadth-first referral queue re-probing
 //!   FindServers-announced `host:port` targets after the sweep, with
-//!   records flowing through a bounded channel
-//!   ([`Scanner::scan_stream`]) so memory stays constant at Internet
+//!   each record handed to the caller's sink as its host finishes
+//!   ([`Scanner::scan_with_certs`]) so memory stays constant at Internet
 //!   scale;
 //! * [`sched`] — the engine's scheduling core: worker threads claiming
 //!   sweep chunks or referral targets, an ordered merge that makes the
@@ -41,8 +41,8 @@ pub mod sched;
 pub mod suite;
 pub mod url;
 
-pub use campaign::{Campaign, CampaignConfig, WeekCheckpoint, WeekOutcome, WeeklyScan};
-pub use pipeline::{FaultStats, ReferralStats, ScanOutcome, ScanStream, ScanSummary, Scanner};
+pub use campaign::{Campaign, CampaignConfig, WeeklyScan};
+pub use pipeline::{FaultStats, ReferralStats, ScanOutcome, ScanSummary, Scanner};
 // Per-stage probe types (UacpProbe, EndpointsProbe, …) deliberately stay
 // behind the `probe::` path: suites are the unit callers compose with;
 // individual stages are an implementation detail of a suite's ladder.
@@ -54,7 +54,7 @@ pub use record::{
     DiscoveredVia, EndpointSnapshot, HostOutcome, OpcUaPayload, ProtocolPayload, ScanRecord,
     SessionOutcome, TraversalSummary, UatTlsPayload,
 };
-pub use sched::{CancelGuard, CancelToken, PendingUrl, SweepCheckpoint};
+pub use sched::{CancelToken, PendingUrl, SweepCheckpoint};
 pub use suite::{
     classify_connect_error, OpcUaSuite, ProtocolSuite, SuiteRegistry, UatTlsSuite,
     VendorFingerprintProbe, DEFAULT_UATLS_PORT,

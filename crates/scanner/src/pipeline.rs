@@ -1,12 +1,10 @@
 //! The end-to-end measurement pipeline: zmap-style sweep → probe stack →
-//! streamed [`ScanRecord`]s.
+//! [`ScanRecord`]s handed to a caller's sink as their hosts finish.
 //!
-//! Records flow through a *bounded* channel ([`Scanner::scan_stream`]):
-//! the producer blocks when the consumer lags, so memory stays O(channel
-//! capacity) no matter how many of the 2³² addresses answer. For
-//! synchronous use (tests, small universes) [`Scanner::scan_with`] drives
-//! a callback on the caller's thread and [`Scanner::scan_collect`] gathers
-//! everything into a `Vec`.
+//! [`Scanner::scan_with_certs`] drives a callback on the caller's thread,
+//! record by record, so memory stays bounded by the workers' buffers no
+//! matter how many of the 2³² addresses answer; [`Scanner::scan_collect`]
+//! gathers everything into a `Vec` for tests and small universes.
 //!
 //! ## One engine
 //!
@@ -60,10 +58,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use ua_crypto::{CertStore, CertStoreStats};
+
+/// Probed-but-unemitted records each worker may buffer ahead of the
+/// ordered merge: a worker this far ahead waits, which is the engine's
+/// backpressure against a slow record sink.
+const WORKER_BUFFER: usize = 256;
 
 /// Accounting of the referral-following phases. Every announced URL
 /// ends up in exactly one disposition bucket:
@@ -233,7 +234,7 @@ impl Scanner {
     /// Probes a single `(address, port)` target with the given probe
     /// stack, returning the record. Exposed for targeted re-scans and
     /// tests. Runs on the shared clock; campaign scans instead fork a
-    /// per-host clock (see [`Self::scan_with`]), and campaign referral
+    /// per-host clock (see [`Self::scan_resumable`]), and campaign referral
     /// probes additionally carry [`DiscoveredVia::Referral`] provenance.
     pub fn probe_host(
         &self,
@@ -243,7 +244,7 @@ impl Scanner {
         seed: u64,
     ) -> ScanRecord {
         // Standalone probes intern into a throwaway store; campaign
-        // scans share one store across every probe (see scan_with).
+        // scans share one store across every probe.
         let certs = CertStore::new();
         let suite: Arc<dyn ProtocolSuite> = Arc::new(OpcUaSuite::new());
         probe_host_on(
@@ -329,25 +330,17 @@ impl Scanner {
         (Some(record), micros)
     }
 
-    /// Runs the full campaign synchronously, handing each record to
-    /// `sink` as soon as its host is fully probed — in discovery order,
-    /// which is identical for every [`ScanConfig::workers`] setting.
-    pub fn scan_with<F>(&self, universe: &[Cidr], seed: u64, sink: F) -> ScanSummary
-    where
-        F: FnMut(ScanRecord),
-    {
-        // One certificate interner per campaign, shared by all workers:
-        // interned handles are pure functions of the DER bytes, so the
-        // worker-count byte-identity guarantee survives interning.
-        self.scan_with_certs(universe, seed, &CertStore::new(), sink)
-    }
-
-    /// [`Self::scan_with`] against a caller-owned certificate interner.
-    /// Longitudinal drivers (see [`crate::Campaign`]) pass the same
-    /// store to every weekly campaign: a certificate that survives the
-    /// week is parsed, thumbprinted, and verified exactly once for the
-    /// whole study, and `summary.certs` reports the *cumulative*
-    /// sighting/distinct counters across campaigns.
+    /// Runs the full campaign synchronously against a caller-owned
+    /// certificate interner, handing each record to `sink` as soon as its
+    /// host is fully probed — in discovery order, which is identical for
+    /// every [`ScanConfig::workers`] setting. Interned handles are pure
+    /// functions of the DER bytes, so sharing the store across workers
+    /// keeps that guarantee. Longitudinal drivers (see
+    /// [`crate::Campaign`]) pass the same store to every weekly campaign:
+    /// a certificate that survives the week is parsed, thumbprinted, and
+    /// verified exactly once for the whole study, and `summary.certs`
+    /// reports the *cumulative* sighting/distinct counters across
+    /// campaigns.
     pub fn scan_with_certs<F>(
         &self,
         universe: &[Cidr],
@@ -358,15 +351,25 @@ impl Scanner {
     where
         F: FnMut(ScanRecord),
     {
-        match self.scan_resumable(universe, seed, certs, None, &CancelToken::new(), sink) {
-            ScanOutcome::Complete { summary } => summary,
-            ScanOutcome::Aborted { .. } => unreachable!("a fresh CancelToken never cancels"),
-        }
+        let ScanOutcome::Complete { summary } =
+            self.scan_resumable(universe, seed, certs, None, &CancelToken::new(), sink)
+        else {
+            unreachable!("a fresh CancelToken never cancels")
+        };
+        summary
+    }
+
+    /// Runs [`Self::scan_with_certs`] on a fresh certificate interner
+    /// and collects all records.
+    pub fn scan_collect(&self, universe: &[Cidr], seed: u64) -> (ScanSummary, Vec<ScanRecord>) {
+        let mut records = Vec::new();
+        let summary = self.scan_with_certs(universe, seed, &CertStore::new(), |r| records.push(r));
+        (summary, records)
     }
 
     /// Runs the campaign with cooperative cancellation and
-    /// deterministic abort/resume; every other entry point runs this
-    /// with a token that never cancels.
+    /// deterministic abort/resume: the one engine entry.
+    /// [`Self::scan_with_certs`] runs it with a token that never cancels.
     ///
     /// * `resume: None` starts a fresh scan at the current campaign
     ///   clock instant; `Some(checkpoint)` continues an aborted one. It
@@ -432,10 +435,10 @@ impl Scanner {
                     SweepChunks::new(universe, &mut StdRng::seed_from_u64(seed)).within(steps)
                 };
                 let chunks = walk(from..u64::MAX);
-                let syn = SynScanner::new(&self.internet, &self.blocklist, self.sweep_config(port));
+                let syn = SynScanner::new(&self.internet, &self.blocklist, SweepConfig { port });
                 let shares = ordered_pool(
                     self.config.effective_workers(),
-                    self.config.effective_channel_capacity(),
+                    WORKER_BUFFER,
                     |send| {
                         let mut stack = suite.stack();
                         syn.sweep_chunks(
@@ -538,7 +541,7 @@ impl Scanner {
         let seed = cp.seed;
         ordered_pool(
             self.config.effective_workers().min(level.len()),
-            self.config.effective_channel_capacity(),
+            WORKER_BUFFER,
             |send| {
                 let mut stack = suite.stack();
                 loop {
@@ -620,41 +623,6 @@ impl Scanner {
         }
         level
     }
-
-    fn sweep_config(&self, port: u16) -> SweepConfig {
-        SweepConfig {
-            probes_per_second: self.config.probes_per_second,
-            port,
-        }
-    }
-
-    /// Convenience: runs [`Self::scan_with`] and collects all records.
-    pub fn scan_collect(&self, universe: &[Cidr], seed: u64) -> (ScanSummary, Vec<ScanRecord>) {
-        let mut records = Vec::new();
-        let summary = self.scan_with(universe, seed, |r| records.push(r));
-        (summary, records)
-    }
-
-    /// Runs the campaign on a coordinator thread (plus
-    /// [`ScanConfig::workers`] probe threads), streaming records through
-    /// a bounded channel. Iterate the returned [`ScanStream`] to consume
-    /// records as they are produced; call [`ScanStream::finish`] for the
-    /// summary. Record order is identical to [`Self::scan_with`] for any
-    /// worker count.
-    pub fn scan_stream(self, universe: Vec<Cidr>, seed: u64) -> ScanStream {
-        let (tx, rx) = mpsc::sync_channel(self.config.effective_channel_capacity());
-        let handle = std::thread::spawn(move || {
-            self.scan_with(&universe, seed, |record| {
-                // A dropped receiver means the consumer stopped caring;
-                // keep scanning for the summary but stop pushing.
-                let _ = tx.send(record);
-            })
-        });
-        ScanStream {
-            rx: Some(rx),
-            handle: Some(handle),
-        }
-    }
 }
 
 /// Harvests a record's referred URLs — as the probing suite interprets
@@ -722,37 +690,6 @@ fn probe_host_on(
         record.rx_bytes += stats.rx_bytes;
     }
     record
-}
-
-/// Iterator over streamed scan records (see [`Scanner::scan_stream`]).
-pub struct ScanStream {
-    rx: Option<mpsc::Receiver<ScanRecord>>,
-    handle: Option<JoinHandle<ScanSummary>>,
-}
-
-impl Iterator for ScanStream {
-    type Item = ScanRecord;
-
-    fn next(&mut self) -> Option<ScanRecord> {
-        self.rx.as_ref()?.recv().ok()
-    }
-}
-
-impl ScanStream {
-    /// Waits for the campaign to end and returns its summary. Pending
-    /// records are drained and dropped; iterate first to keep them.
-    pub fn finish(mut self) -> ScanSummary {
-        // Dropping the receiver unblocks a producer waiting on a full
-        // channel.
-        self.rx = None;
-        self.handle
-            .take()
-            // ua-lint: allow(panic-hygiene) -- finish() consumes self; the handle is present by construction
-            .expect("finish called once")
-            .join()
-            // ua-lint: allow(panic-hygiene) -- re-raise a worker panic on the coordinating thread
-            .expect("scan worker panicked")
-    }
 }
 
 #[cfg(test)]
@@ -823,44 +760,75 @@ mod tests {
             Ipv4::new(10, 1, 0, 99),
             Ipv4::new(10, 1, 0, 200),
         ];
-        let net = wide_open_internet(&addrs);
         let universe: Cidr = "10.1.0.0/24".parse().unwrap();
 
-        // Two independent clocks would drift; rebuild for a fair
-        // comparison of record *content*.
-        let sync_scanner = Scanner::new(net.clone(), Blocklist::new(), ScanConfig::default());
-        let (_, sync_records) = sync_scanner.scan_collect(&[universe], 9);
+        // Two scans over one net would advance the same clock twice;
+        // rebuild for a fair comparison of record *content*.
+        let sync_scanner = Scanner::new(
+            wide_open_internet(&addrs),
+            Blocklist::new(),
+            ScanConfig::default(),
+        );
+        let (sync_summary, sync_records) = sync_scanner.scan_collect(&[universe], 9);
 
-        let net2 = wide_open_internet(&addrs);
-        let stream_scanner = Scanner::new(net2, Blocklist::new(), ScanConfig::default());
-        let mut stream = stream_scanner.scan_stream(vec![universe], 9);
-        let streamed: Vec<_> = stream.by_ref().collect();
-        let summary = stream.finish();
+        // Records handed to the sink one by one, from four workers.
+        let config = ScanConfig {
+            workers: 4,
+            ..ScanConfig::default()
+        };
+        let stream_scanner = Scanner::new(wide_open_internet(&addrs), Blocklist::new(), config);
+        let mut streamed = Vec::new();
+        let summary =
+            stream_scanner.scan_with_certs(&[universe], 9, &CertStore::new(), |r| streamed.push(r));
 
         assert_eq!(summary.opcua_hosts, 3);
-        assert_eq!(streamed.len(), sync_records.len());
-        for (a, b) in streamed.iter().zip(&sync_records) {
-            assert_eq!(a.address, b.address);
-            assert_eq!(a.endpoints(), b.endpoints());
-            assert_eq!(a.session(), b.session());
-        }
+        assert_eq!(summary, sync_summary);
+        assert_eq!(streamed, sync_records);
     }
 
     #[test]
     fn bounded_channel_backpressure_keeps_all_records() {
+        // Workers run ahead of a sink that yields on every record; their
+        // bounded buffers hand over every record, in discovery order.
+        // (The pool's capacity-1 case is in `sched::tests`.)
         let addrs: Vec<Ipv4> = (0..20).map(|i| Ipv4::new(10, 2, 0, 10 + i)).collect();
-        let net = wide_open_internet(&addrs);
         let universe: Cidr = "10.2.0.0/24".parse().unwrap();
-        let config = ScanConfig {
-            channel_capacity: 2, // far smaller than the host count
-            ..ScanConfig::default()
+        let scan = |workers: usize| {
+            let config = ScanConfig {
+                workers,
+                ..ScanConfig::default()
+            };
+            let scanner = Scanner::new(wide_open_internet(&addrs), Blocklist::new(), config);
+            let mut records = Vec::new();
+            let summary = scanner.scan_with_certs(&[universe], 4, &CertStore::new(), |r| {
+                std::thread::yield_now();
+                records.push(r);
+            });
+            (summary, records)
         };
-        let scanner = Scanner::new(net, Blocklist::new(), config);
-        let mut stream = scanner.scan_stream(vec![universe], 4);
-        let records: Vec<_> = stream.by_ref().collect();
-        let summary = stream.finish();
+        let (summary, records) = scan(8);
         assert_eq!(records.len(), 20);
         assert_eq!(summary.opcua_hosts, 20);
+        assert_eq!((summary, records), scan(1));
+    }
+
+    #[test]
+    fn sweep_pacing_advances_campaign_clock_by_rate() {
+        // An empty /24 at the default 50 000 probes/s: 256 probes cost
+        // 256 × 1 000 000 / 50 000 = 5 120 µs of campaign time, accounted
+        // to the microsecond even though it is under one second.
+        let clock = VirtualClock::starting_at(1_581_206_400);
+        let net = Internet::new(clock.clone());
+        let config = ScanConfig::default();
+        assert_eq!(config.probes_per_second, 50_000);
+        let scanner = Scanner::new(net, Blocklist::new(), config);
+        let universe: Cidr = "10.5.0.0/24".parse().unwrap();
+        let before = clock.now_micros();
+        let (summary, records) = scanner.scan_collect(&[universe], 5);
+        assert!(records.is_empty());
+        assert_eq!(summary.sweep.probes_sent, 256);
+        assert_eq!(clock.now_micros() - before, 5_120);
+        assert_eq!(summary.finished_unix, summary.started_unix);
     }
 
     #[test]

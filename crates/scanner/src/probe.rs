@@ -106,12 +106,6 @@ pub struct ScanConfig {
     /// Whether to attempt anonymous sessions at all (the paper's scanner
     /// only proceeds where servers advertise credential-less access).
     pub attempt_session: bool,
-    /// Bounded capacity of the record channel in streaming scans, and
-    /// of each worker's buffer of probed-but-unemitted records: a worker
-    /// that gets this far ahead of the ordered merge waits, which is
-    /// the engine's backpressure against a slow record sink. 0 is
-    /// treated as 1.
-    pub channel_capacity: usize,
     /// Worker threads the campaign is sharded across. Output is
     /// byte-identical for a fixed seed regardless of this knob — it only
     /// changes how many cores the probe stacks use. 0 is treated as 1.
@@ -143,7 +137,6 @@ impl Default for ScanConfig {
             client: ClientConfig::default(),
             budget: TraversalBudget::default(),
             attempt_session: true,
-            channel_capacity: 256,
             workers: 1,
             referral_depth: 4,
             referral_budget: 4096,
@@ -155,7 +148,7 @@ impl Default for ScanConfig {
 
 impl ScanConfig {
     /// A validating builder over the default configuration — the
-    /// literal-free way to assemble the (by now) 12-field config. Plain
+    /// literal-free way to assemble the (by now) 11-field config. Plain
     /// struct literals over [`ScanConfig::default`] keep working; the
     /// builder adds up-front validation and does the zero-normalization
     /// once instead of at every use site.
@@ -169,11 +162,6 @@ impl ScanConfig {
     /// applied — the single place the engine gets it from.
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1)
-    }
-
-    /// Record-channel capacity with zero-normalization applied.
-    pub fn effective_channel_capacity(&self) -> usize {
-        self.channel_capacity.max(1)
     }
 
     /// The suites a campaign drives, in ascending port order: the
@@ -261,12 +249,6 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Record-channel capacity (0 normalized to 1 at build).
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.channel_capacity = capacity;
-        self
-    }
-
     /// Worker thread count (0 normalized to 1 at build).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
@@ -304,13 +286,12 @@ impl ScanConfigBuilder {
     }
 
     /// Validates and finishes the configuration. The zero-means-one
-    /// knobs (`workers`, `channel_capacity`, `retry.max_attempts`) are
+    /// knobs (`workers`, `retry.max_attempts`) are
     /// normalized here, once, so the engine can rely on the invariant
     /// instead of re-checking at every use.
     pub fn build(self) -> Result<ScanConfig, ConfigError> {
         let mut cfg = self.cfg;
         cfg.workers = cfg.workers.max(1);
-        cfg.channel_capacity = cfg.channel_capacity.max(1);
         cfg.retry.max_attempts = cfg.retry.max_attempts.max(1);
         if cfg.referral_depth > 0
             && !cfg
@@ -926,13 +907,8 @@ mod tests {
 
     #[test]
     fn builder_normalizes_and_keeps_defaults() {
-        let cfg = ScanConfig::builder()
-            .workers(0)
-            .channel_capacity(0)
-            .build()
-            .unwrap();
+        let cfg = ScanConfig::builder().workers(0).build().unwrap();
         assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.channel_capacity, 1);
         assert_eq!(cfg.retry.max_attempts, 1);
         // Defaults survive untouched knobs; the empty registry means
         // classic OPC UA on the configured port.
@@ -977,10 +953,8 @@ mod tests {
     fn effective_knobs_centralize_zero_normalization() {
         let cfg = ScanConfig {
             workers: 0,
-            channel_capacity: 0,
             ..ScanConfig::default()
         };
         assert_eq!(cfg.effective_workers(), 1);
-        assert_eq!(cfg.effective_channel_capacity(), 1);
     }
 }

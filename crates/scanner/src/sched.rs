@@ -12,9 +12,8 @@
 //!   a private [`netsim::VirtualClock`] fork per target, so record
 //!   contents are a pure function of `(host, port, seed, epoch)`;
 //! * each thread hands its results, sorted by key (walk step or level
-//!   index), to the calling thread through a buffer of
-//!   [`crate::ScanConfig::channel_capacity`] records, which holds a
-//!   thread back when the record sink is slow;
+//!   index), to the calling thread through a bounded buffer, which holds
+//!   a thread back when the record sink is slow;
 //! * the calling thread merges the streams back into global key order,
 //!   so the emitted stream is byte-identical at any worker count;
 //! * a [`CancelToken`] is checked after every emitted sweep record and
@@ -145,10 +144,10 @@ impl CancelToken {
     /// "stop after record 2 000" lands on the same record for the same
     /// seed every run, which is what lets CI abort a sweep at ~50% and
     /// diff the stitched abort+resume output byte-for-byte against an
-    /// uninterrupted run.
+    /// uninterrupted run. `n = 0` is cancelled from the start.
     pub fn after_records(n: u64) -> Self {
         CancelToken {
-            cancelled: Arc::new(AtomicBool::new(false)),
+            cancelled: Arc::new(AtomicBool::new(n == 0)),
             budget: Arc::new(AtomicI64::new(n.min(i64::MAX as u64) as i64)),
         }
     }
@@ -176,46 +175,11 @@ impl CancelToken {
             self.cancel();
         }
     }
-
-    /// An RAII guard that cancels this token when dropped, unless
-    /// [`CancelGuard::disarm`]ed — the `ServerGuard` idiom: tie the
-    /// scan's lifetime to a scope so an early return or panic upstream
-    /// still winds the sweep down at the next safe point.
-    pub fn guard(&self) -> CancelGuard {
-        CancelGuard {
-            token: self.clone(),
-            armed: true,
-        }
-    }
 }
 
 impl Default for CancelToken {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Scope guard for a [`CancelToken`]; see [`CancelToken::guard`].
-#[derive(Debug)]
-pub struct CancelGuard {
-    token: CancelToken,
-    armed: bool,
-}
-
-impl CancelGuard {
-    /// Defuses the guard: dropping it no longer cancels the token.
-    /// Returns the token for further use.
-    pub fn disarm(mut self) -> CancelToken {
-        self.armed = false;
-        self.token.clone()
-    }
-}
-
-impl Drop for CancelGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            self.token.cancel();
-        }
     }
 }
 
@@ -327,6 +291,7 @@ impl SweepCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn token_cancels_and_shares() {
@@ -355,18 +320,75 @@ mod tests {
     }
 
     #[test]
-    fn guard_cancels_on_drop_unless_disarmed() {
-        let token = CancelToken::new();
-        {
-            let _guard = token.guard();
-        }
+    fn zero_record_budget_starts_cancelled() {
+        let token = CancelToken::after_records(0);
         assert!(token.is_cancelled());
-
-        let token = CancelToken::new();
-        {
-            let guard = token.guard();
-            let _ = guard.disarm();
-        }
+        token.notch();
+        assert!(token.is_cancelled());
+        // A budget of one still lets exactly one record through.
+        let token = CancelToken::after_records(1);
         assert!(!token.is_cancelled());
+        token.notch();
+        assert!(token.is_cancelled());
+    }
+
+    #[test]
+    fn ordered_pool_at_capacity_one_neither_deadlocks_nor_reorders() {
+        // Eight workers, each holding at most one item ahead of the
+        // merge, interleave their keys: worker w hands over w, w + 8, ….
+        const WORKERS: u64 = 8;
+        const ITEMS: u64 = 400;
+        let next_worker = AtomicU64::new(0);
+        let finished = AtomicU64::new(0);
+        let work = |send: &mut dyn FnMut(u64, u64)| {
+            let w = next_worker.fetch_add(1, Ordering::SeqCst);
+            for key in (w..ITEMS).step_by(WORKERS as usize) {
+                send(key, key * 10);
+            }
+            finished.fetch_add(1, Ordering::SeqCst);
+            w
+        };
+
+        // A slow sink: the workers keep blocking on their full buffers.
+        let mut emitted = Vec::new();
+        let mut workers = ordered_pool(WORKERS as usize, 1, work, |key, item| {
+            assert_eq!(item, key * 10);
+            std::thread::yield_now();
+            emitted.push(key);
+            true
+        });
+        assert_eq!(emitted, (0..ITEMS).collect::<Vec<_>>());
+        workers.sort_unstable();
+        assert_eq!(workers, (0..WORKERS).collect::<Vec<_>>());
+        assert_eq!(finished.load(Ordering::SeqCst), WORKERS);
+    }
+
+    #[test]
+    fn ordered_pool_stopped_early_releases_and_joins_every_worker() {
+        // Eight workers at capacity 1, and a sink that stops at key 20:
+        // workers blocked on a full buffer are released, run to the end
+        // of their work, and every one of them is joined.
+        const WORKERS: u64 = 8;
+        let next_worker = AtomicU64::new(0);
+        let finished = AtomicU64::new(0);
+        let mut emitted = Vec::new();
+        let workers = ordered_pool(
+            WORKERS as usize,
+            1,
+            |send| {
+                let w = next_worker.fetch_add(1, Ordering::SeqCst);
+                for key in (w..400).step_by(WORKERS as usize) {
+                    send(key, ());
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            },
+            |key, ()| {
+                emitted.push(key);
+                key < 20
+            },
+        );
+        assert_eq!(emitted, (0..=20).collect::<Vec<_>>());
+        assert_eq!(workers.len(), WORKERS as usize);
+        assert_eq!(finished.load(Ordering::SeqCst), WORKERS);
     }
 }

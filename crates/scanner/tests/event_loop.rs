@@ -1,6 +1,6 @@
 //! Scan-engine determinism: for a fixed seed the one scan engine must
-//! produce byte-identical output at any worker count and channel
-//! capacity, through `scan_stream`'s bounded channel, and across
+//! produce byte-identical output at any worker count, whether records
+//! are collected or handed to a slow sink one by one, and across
 //! abort/resume cycles stitched back together at every cut point.
 
 use std::sync::{mpsc, Arc};
@@ -12,8 +12,7 @@ use population::{
 };
 use scanner::{
     CancelToken, CertStore, OpcUaSuite, RetryPolicy, ScanConfig, ScanOutcome, ScanRecord,
-    ScanSummary, Scanner, SweepCheckpoint, UatTlsSuite, WeekOutcome, DEFAULT_OPCUA_PORT,
-    DEFAULT_UATLS_PORT,
+    ScanSummary, Scanner, SweepCheckpoint, UatTlsSuite, DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
 };
 
 const SEED: u64 = 20_200_209;
@@ -37,20 +36,29 @@ fn blocklist() -> Blocklist {
     blocklist
 }
 
-fn scanner_with(workers: usize, channel_capacity: usize) -> (Scanner, Vec<Cidr>) {
+fn scanner_with(workers: usize) -> (Scanner, Vec<Cidr>) {
     let (net, universe) = build_world();
     let config = ScanConfig {
         workers,
-        channel_capacity,
         ..ScanConfig::default()
     };
     (Scanner::new(net, blocklist(), config), universe)
 }
 
-fn scan(workers: usize, channel_capacity: usize) -> (ScanSummary, Vec<ScanRecord>) {
-    let (scanner, universe) = scanner_with(workers, channel_capacity);
+fn scan(workers: usize) -> (ScanSummary, Vec<ScanRecord>) {
+    let (scanner, universe) = scanner_with(workers);
+    scanner.scan_collect(&universe, SEED)
+}
+
+/// [`scan`] through a sink that yields on every record, so workers run
+/// ahead of the ordered merge and wait on their bounded buffers.
+fn scan_into_slow_sink(workers: usize) -> (ScanSummary, Vec<ScanRecord>) {
+    let (scanner, universe) = scanner_with(workers);
     let mut records = Vec::new();
-    let summary = scanner.scan_with(&universe, SEED, |r| records.push(r));
+    let summary = scanner.scan_with_certs(&universe, SEED, &CertStore::new(), |r| {
+        std::thread::yield_now();
+        records.push(r);
+    });
     (summary, records)
 }
 
@@ -97,10 +105,7 @@ fn hostile_config(workers: usize) -> ScanConfig {
 
 fn hostile_scan(workers: usize) -> (ScanSummary, Vec<ScanRecord>) {
     let (net, universe) = hostile_world();
-    let scanner = Scanner::new(net, blocklist(), hostile_config(workers));
-    let mut records = Vec::new();
-    let summary = scanner.scan_with(&universe, SEED, |r| records.push(r));
-    (summary, records)
+    Scanner::new(net, blocklist(), hostile_config(workers)).scan_collect(&universe, SEED)
 }
 
 /// A scanner over `net` on a clock of its own, starting where `net`'s
@@ -166,51 +171,39 @@ fn assert_every_cut_stitches(
 
 #[test]
 fn event_loop_matches_threaded_at_any_in_flight_cap() {
-    // The one engine at any worker count and per-worker buffer
-    // capacity: byte-identical records and summary.
-    let (baseline_summary, baseline_records) = scan(1, 256);
+    // The one engine at any worker count: byte-identical records and
+    // summary.
+    let (baseline_summary, baseline_records) = scan(1);
     assert!(
         baseline_summary.referrals.followed > 0,
         "world must exercise the referral phase, got {:?}",
         baseline_summary.referrals
     );
-    for workers in [2usize, 8] {
-        for capacity in [1usize, 4, 256] {
-            let (summary, records) = scan(workers, capacity);
-            assert_eq!(
-                summary, baseline_summary,
-                "workers={workers} cap={capacity}"
-            );
-            assert_eq!(
-                records, baseline_records,
-                "workers={workers} cap={capacity}"
-            );
-        }
+    for workers in [2usize, 4, 8] {
+        let (summary, records) = scan(workers);
+        assert_eq!(summary, baseline_summary, "workers={workers}");
+        assert_eq!(records, baseline_records, "workers={workers}");
     }
 }
 
 #[test]
 fn event_loop_matches_multiworker_threaded_through_scan_stream() {
-    let (summary4, records4) = scan(4, 256);
-    let (scanner, universe) = scanner_with(1, 32);
-    let mut stream = scanner.scan_stream(universe, SEED);
-    let records: Vec<ScanRecord> = stream.by_ref().collect();
-    let summary = stream.finish();
+    // Records handed to a slow sink one by one at one worker equal the
+    // collected four-worker run.
+    let (summary4, records4) = scan(4);
+    let (summary, records) = scan_into_slow_sink(1);
     assert_eq!(summary, summary4);
     assert_eq!(records, records4);
 }
 
-/// Backpressure must not deadlock even in the most constrained setup:
-/// a records channel of capacity 1 feeding a consumer, over workers
-/// that may each buffer one record — and the output order must still
-/// be exact.
+/// Backpressure must not deadlock: eight workers feeding a sink slower
+/// than they are, each held back by its bounded buffer — and the output
+/// order must still be exact. (The pool itself is checked at buffer
+/// capacity 1 in `sched::tests`.)
 #[test]
 fn no_deadlock_at_capacity_one() {
-    let (_, expected) = scan(1, 256);
-    let (scanner, universe) = scanner_with(4, 1);
-    let mut stream = scanner.scan_stream(universe, SEED);
-    let records: Vec<ScanRecord> = stream.by_ref().collect();
-    stream.finish();
+    let (_, expected) = scan(1);
+    let (_, records) = scan_into_slow_sink(8);
     assert_eq!(records, expected);
 }
 
@@ -388,14 +381,14 @@ fn external_cancel_mid_sweep_stitches_at_four_workers() {
 
 #[test]
 fn abort_during_referral_phase_resumes_exactly() {
-    let (expected_summary, expected) = scan(1, 256);
+    let (expected_summary, expected) = scan(1);
     let referral_records = expected.iter().filter(|r| r.via.is_referral()).count();
     assert!(referral_records > 0, "world must have referral hosts");
 
     // Budget past the sweep so cancellation lands between referral
     // levels.
     let sweep_records = expected.len() - referral_records;
-    let (scanner, universe) = scanner_with(4, 256);
+    let (scanner, universe) = scanner_with(4);
     let certs = CertStore::new();
     let mut stitched: Vec<ScanRecord> = Vec::new();
     let token = CancelToken::after_records(sweep_records as u64 + 1);
@@ -433,22 +426,21 @@ fn aborted_week_leaves_campaign_clock_untouched() {
     use scanner::Campaign;
 
     let uninterrupted = {
-        let (scanner, universe) = scanner_with(1, 256);
+        let (scanner, universe) = scanner_with(1);
         let mut campaign = Campaign::new(scanner);
         let w0 = campaign.run_week(&universe, SEED, |_| {});
         let w1 = campaign.run_week(&universe, SEED, |_| {});
         vec![w0, w1]
     };
 
-    let (scanner, universe) = scanner_with(4, 256);
+    let (scanner, universe) = scanner_with(4);
     let mut campaign = Campaign::new(scanner);
     let epoch_before = campaign.scanner().internet().clock().now_micros();
 
     let token = CancelToken::after_records(uninterrupted[0].records.len() as u64 / 2);
-    let outcome = campaign.run_week_resumable(&universe, SEED, |_| {}, &token);
-    let WeekOutcome::Aborted(checkpoint) = outcome else {
-        panic!("budgeted token must abort the week");
-    };
+    let mut evolved = Vec::new();
+    let outcome = campaign.run_week_resumable(&universe, SEED, |w| evolved.push(w), &token);
+    assert!(outcome.is_none(), "budgeted token must abort the week");
     // The abort consumed zero campaign time and did not finish a week.
     assert_eq!(
         campaign.scanner().internet().clock().now_micros(),
@@ -456,38 +448,69 @@ fn aborted_week_leaves_campaign_clock_untouched() {
         "an aborted week must not advance the campaign clock"
     );
     assert_eq!(campaign.weeks_run(), 0);
-    assert_eq!(checkpoint.week, 0);
 
-    let outcome = campaign.resume_week(&universe, SEED, *checkpoint, &CancelToken::new());
-    let WeekOutcome::Complete(week0) = outcome else {
-        panic!("resume must complete the week");
-    };
+    // The next call finishes the paused week without evolving again.
+    let week0 = campaign.run_week(&universe, SEED, |w| evolved.push(w));
+    assert_eq!(evolved, vec![0]);
     assert_eq!(campaign.weeks_run(), 1);
+    assert_eq!(week0.week, 0);
     assert_eq!(week0.records, uninterrupted[0].records);
     assert_summary_matches_modulo_sightings(&week0.summary, &uninterrupted[0].summary);
 
     // The next week is entirely unaffected by the mid-week abort.
-    let outcome = campaign.run_week_resumable(&universe, SEED, |_| {}, &CancelToken::new());
-    let WeekOutcome::Complete(week1) = outcome else {
-        panic!("uncancelled week must complete");
-    };
+    let week1 = campaign
+        .run_week_resumable(&universe, SEED, |w| evolved.push(w), &CancelToken::new())
+        .expect("uncancelled week must complete");
+    assert_eq!(evolved, vec![0, 1]);
     assert_eq!(week1.records, uninterrupted[1].records);
     assert_summary_matches_modulo_sightings(&week1.summary, &uninterrupted[1].summary);
 }
 
-/// A `CancelGuard` dropped without disarming cancels the token — and a
-/// scan driven by that token winds down at the next safe point instead
-/// of running to completion.
+/// A token with a zero record budget is cancelled before the scan
+/// starts: the scan emits nothing and aborts at the fresh-start
+/// checkpoint, and resuming from there reproduces the uninterrupted run.
 #[test]
-fn cancel_guard_aborts_scan_on_drop() {
-    let (scanner, universe) = scanner_with(4, 256);
-    let token = CancelToken::new();
-    {
-        let _guard = token.guard();
-        // Guard dropped here — e.g. an early return in a driver.
+fn zero_record_budget_aborts_at_the_fresh_start_checkpoint() {
+    let (net, universe) = build_world();
+    let config = ScanConfig::default();
+    let (expected_summary, expected) = scanner_on(&net, &config, 1).scan_collect(&universe, SEED);
+    for workers in [1usize, 4] {
+        let scanner = scanner_on(&net, &config, workers);
+        let epoch = scanner.internet().clock().now_micros();
+        let certs = CertStore::new();
+        let token = CancelToken::after_records(0);
+        let outcome = scanner.scan_resumable(&universe, SEED, &certs, None, &token, |_| {
+            panic!("a cancelled scan must not emit records")
+        });
+        let ScanOutcome::Aborted { checkpoint } = outcome else {
+            panic!("a zero budget must abort (workers={workers})");
+        };
+        assert_eq!(checkpoint.epoch_micros, epoch);
+        assert_eq!(
+            (
+                checkpoint.suite_cursor,
+                checkpoint.sweep_done,
+                checkpoint.next_step
+            ),
+            (0, false, 0)
+        );
+        assert_eq!(checkpoint.sweep_stats, Default::default());
+        assert!(checkpoint.frontier.is_empty());
+        assert_eq!(scanner.internet().clock().now_micros(), epoch);
+
+        let mut records = Vec::new();
+        let outcome = scanner.scan_resumable(
+            &universe,
+            SEED,
+            &certs,
+            Some(*checkpoint),
+            &CancelToken::new(),
+            |r| records.push(r),
+        );
+        let ScanOutcome::Complete { summary } = outcome else {
+            panic!("resume must complete (workers={workers})");
+        };
+        assert_eq!(records, expected, "workers={workers}");
+        assert_summary_matches_modulo_sightings(&summary, &expected_summary);
     }
-    let outcome = scanner.scan_resumable(&universe, SEED, &CertStore::new(), None, &token, |_| {
-        panic!("a pre-cancelled scan must not emit records")
-    });
-    assert!(matches!(outcome, ScanOutcome::Aborted { .. }));
 }

@@ -4,7 +4,7 @@
 
 use netsim::{Blocklist, Cidr, Internet, VirtualClock};
 use population::{synthesize, HostClass, PopulationConfig, StrataMix};
-use scanner::{ScanConfig, ScanRecord, ScanSummary, Scanner};
+use scanner::{CertStore, ScanConfig, ScanRecord, ScanSummary, Scanner};
 
 const SEED: u64 = 20_200_209;
 
@@ -29,10 +29,7 @@ fn scan_with_workers(workers: usize) -> (ScanSummary, Vec<ScanRecord>) {
         workers,
         ..ScanConfig::default()
     };
-    let scanner = Scanner::new(net, blocklist, config);
-    let mut stream = scanner.scan_stream(universe, SEED);
-    let records: Vec<ScanRecord> = stream.by_ref().collect();
-    (stream.finish(), records)
+    Scanner::new(net, blocklist, config).scan_collect(&universe, SEED)
 }
 
 #[test]
@@ -89,8 +86,8 @@ fn final_report_identical_across_worker_counts() {
 
 #[test]
 fn sync_scan_matches_sharded_stream() {
-    // scan_collect (inline single shard) and scan_stream with 4 workers
-    // agree record-for-record.
+    // scan_collect at one worker and records handed to a sink one by
+    // one from four workers agree record-for-record.
     let (net, universe) = build_world();
     let scanner = Scanner::new(net, Blocklist::new(), ScanConfig::default());
     let (sync_summary, sync_records) = scanner.scan_collect(&universe, SEED);
@@ -101,9 +98,9 @@ fn sync_scan_matches_sharded_stream() {
         ..ScanConfig::default()
     };
     let scanner2 = Scanner::new(net2, Blocklist::new(), config);
-    let mut stream = scanner2.scan_stream(universe2, SEED);
-    let streamed: Vec<ScanRecord> = stream.by_ref().collect();
-    let summary = stream.finish();
+    let mut streamed: Vec<ScanRecord> = Vec::new();
+    let summary =
+        scanner2.scan_with_certs(&universe2, SEED, &CertStore::new(), |r| streamed.push(r));
 
     assert_eq!(sync_records, streamed);
     assert_eq!(sync_summary, summary);
@@ -136,10 +133,9 @@ fn referral_following_end_to_end_across_worker_counts() {
             workers,
             ..ScanConfig::default()
         };
-        let scanner = Scanner::new(net, Blocklist::new(), config);
-        let mut stream = scanner.scan_stream(universe, SEED);
-        let records: Vec<ScanRecord> = stream.by_ref().collect();
-        (stream.finish(), records, pop)
+        let (summary, records) =
+            Scanner::new(net, Blocklist::new(), config).scan_collect(&universe, SEED);
+        (summary, records, pop)
     };
 
     let (summary1, records1, pop) = scan(1);

@@ -14,9 +14,10 @@
 //! 1. **Scanner**: `scan_resumable` aborted at ~50%, resumed from the
 //!    returned [`SweepCheckpoint`]; record streams must concatenate to
 //!    the uninterrupted stream.
-//! 2. **Campaign**: `run_week_resumable` aborted mid-week; the shared
-//!    campaign clock must not move, and `resume_week` must complete
-//!    the week byte-identically — plus the *following* week.
+//! 2. **Campaign**: `run_week_resumable` aborted mid-week (it returns
+//!    `None`); the shared campaign clock must not move, and the next
+//!    call must complete the week byte-identically — plus the
+//!    *following* week.
 //!
 //! ```sh
 //! cargo run --release --example abort_resume            # default seed
@@ -109,15 +110,10 @@ fn main() {
         for _ in 0..2 {
             if resumable {
                 let half = CancelToken::after_records(40);
-                match campaign.run_week_resumable(&universe, seed, |_| {}, &half) {
-                    WeekOutcome::Complete(scan) => out.push(scan),
-                    WeekOutcome::Aborted(cp) => {
-                        match campaign.resume_week(&universe, seed, *cp, &CancelToken::new()) {
-                            WeekOutcome::Complete(scan) => out.push(scan),
-                            WeekOutcome::Aborted(_) => unreachable!("resume token never cancels"),
-                        }
-                    }
-                }
+                let scan = campaign
+                    .run_week_resumable(&universe, seed, |_| {}, &half)
+                    .unwrap_or_else(|| campaign.run_week(&universe, seed, |_| {}));
+                out.push(scan);
             } else {
                 out.push(campaign.run_week(&universe, seed, |_| {}));
             }
@@ -129,23 +125,15 @@ fn main() {
     let mut campaign = Campaign::new(scanner);
     let clock_before = campaign.scanner().internet().clock().now_micros();
     let token = CancelToken::after_records(40);
-    let cp = match campaign.run_week_resumable(&universe, seed, |_| {}, &token) {
-        WeekOutcome::Aborted(cp) => cp,
-        WeekOutcome::Complete(_) => unreachable!("budgeted token must abort the week"),
-    };
+    let aborted = campaign.run_week_resumable(&universe, seed, |_| {}, &token);
+    assert!(aborted.is_none(), "budgeted token must abort the week");
     all_ok &= check(
         "aborted week leaves the campaign clock untouched",
         campaign.scanner().internet().clock().now_micros() == clock_before
             && campaign.weeks_run() == 0,
     );
-    let week0 = match campaign.resume_week(&universe, seed, *cp, &CancelToken::new()) {
-        WeekOutcome::Complete(scan) => scan,
-        WeekOutcome::Aborted(_) => unreachable!("resume token never cancels"),
-    };
-    let week1 = match campaign.run_week_resumable(&universe, seed, |_| {}, &CancelToken::new()) {
-        WeekOutcome::Complete(scan) => scan,
-        WeekOutcome::Aborted(_) => unreachable!("uncancelled week completes"),
-    };
+    let week0 = campaign.run_week(&universe, seed, |_| {});
+    let week1 = campaign.run_week(&universe, seed, |_| {});
     all_ok &= check(
         "resumed week 0 records equal uninterrupted week 0",
         week0.records == uninterrupted[0].records

@@ -46,7 +46,7 @@ fn main() {
     let mut blocklist = Blocklist::new();
     blocklist.add_str("10.16.7.0/24").unwrap();
 
-    // Stream records through the bounded channel while the scan runs,
+    // Take each record as its host finishes while the scan runs,
     // sharded across `workers` probe threads. The output below must not
     // mention the worker count: CI diffs a 1-worker and a 4-worker run
     // to enforce that determinism.
@@ -55,15 +55,13 @@ fn main() {
         ..ScanConfig::default()
     };
     let scanner = Scanner::new(net, blocklist, config);
-    let mut stream = scanner.scan_stream(universe, seed);
     let mut records = Vec::new();
-    for record in stream.by_ref() {
+    let summary = scanner.scan_with_certs(&universe, seed, &CertStore::new(), |record| {
         if records.is_empty() {
             println!("first responsive host: {}", record.address);
         }
         records.push(record);
-    }
-    let summary = stream.finish();
+    });
     println!(
         "sweep: {} probes sent, {} blocklisted, {} responsive ({} OPC UA, {} other)",
         summary.sweep.probes_sent,

@@ -124,13 +124,13 @@
 //!   a 4-worker campaign.
 //! * **Cancellation** — one scan engine serves every entry point, so
 //!   every campaign can be cancelled (`CancelToken`) and resumed
-//!   deterministically (`Scanner::scan_resumable` + `SweepCheckpoint`,
-//!   `Campaign::run_week_resumable` + `resume_week`): the checkpoint
-//!   is the last emitted record, an aborted sweep consumes no campaign
-//!   time, and the resumed stream stitches byte-identically at any
-//!   worker count. Each worker buffers at most
-//!   `ScanConfig::channel_capacity` records ahead of the ordered
-//!   merge, which holds it back against a slow record sink. CI
+//!   deterministically (`Scanner::scan_resumable` + `SweepCheckpoint`;
+//!   `Campaign::run_week_resumable` returns `None` on an abort and the
+//!   next call finishes the week): the checkpoint is the last emitted
+//!   record, an aborted sweep consumes no campaign time, and the
+//!   resumed stream stitches byte-identically at any worker count.
+//!   Each worker buffers a bounded number of records ahead of the
+//!   ordered merge, which holds it back against a slow record sink. CI
 //!   replays abort/resume cycles at 1 and 4 workers.
 //! * **Referral following** — after the sweep, the pipeline re-probes
 //!   every `host:port` that FindServers answers referred to (the
@@ -273,8 +273,7 @@ pub mod prelude {
         Campaign, CampaignConfig, CancelToken, CertStore, DiscoveredVia, FaultStats, HostOutcome,
         OpcUaSuite, OpcUrl, ProtocolPayload, ProtocolSuite, ReferralStats, RetryPolicy, ScanConfig,
         ScanOutcome, ScanRecord, ScanSummary, Scanner, SessionOutcome, SuiteRegistry,
-        SweepCheckpoint, UatTlsSuite, WeekCheckpoint, WeekOutcome, WeeklyScan, DEFAULT_OPCUA_PORT,
-        DEFAULT_UATLS_PORT,
+        SweepCheckpoint, UatTlsSuite, WeeklyScan, DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
     };
     pub use ua_crypto::Thumbprint;
     pub use ua_types::{MessageSecurityMode, SecurityPolicy, UserTokenType};
