@@ -81,6 +81,12 @@ fn main() {
         dedup_tree_seconds * 1e3,
         sightings_tree_seconds * 1e3,
     );
+    // Deduplicated moduli must not make the GCD tree slower: the
+    // interning work exists to shrink this input.
+    assert!(
+        dedup_speedup >= 1.0,
+        "BENCH_ablation.json: dedup made batch GCD slower ({dedup_speedup:.2}x)"
+    );
 
     let moduli_per_second = moduli.len() as f64 / batch_seconds.max(1e-12);
     let out = Json::obj()
@@ -97,8 +103,7 @@ fn main() {
             "batch_gcd_all_sightings_seconds",
             Json::Num(sightings_tree_seconds),
         )
-        .set("dedup_speedup", Json::Num(dedup_speedup))
-        .set("detectors_agree", Json::Bool(true));
+        .set("dedup_speedup", Json::Num(dedup_speedup));
     let path = write_bench_json("ablation", &out);
     println!("wrote {}", path.display());
 }

@@ -3,8 +3,8 @@
 //!
 //! * 2048-bit `mod_pow`: the Montgomery windowed path
 //!   (`BigUint::mod_pow`) against the legacy square-and-multiply path
-//!   (`BigUint::mod_pow_legacy`) — both stay measurable, and CI fails
-//!   if Montgomery is ever slower;
+//!   (`BigUint::mod_pow_legacy`) — both stay measurable, and the bin
+//!   fails if Montgomery is ever slower;
 //! * Karatsuba vs. schoolbook multiplication at product-tree sizes;
 //! * SHA-1 thumbprinting and DER parse throughput over the campaign's
 //!   certificates;
@@ -27,13 +27,11 @@ use ua_crypto::{batch_gcd, find_shared_factors, sha1, BigUint, Certificate};
 /// RSA key length (Figure 4).
 const MOD_POW_BITS: usize = 2048;
 
-fn env_rounds(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(default)
-}
+/// Minimum-of-N rounds for the `mod_pow` timings.
+const MOD_POW_ROUNDS: usize = 3;
+
+/// Minimum-of-N rounds for the 16k-bit multiply timings.
+const MUL_ROUNDS: usize = 20;
 
 fn main() {
     let cfg = BenchConfig::from_env();
@@ -49,24 +47,27 @@ fn main() {
     }
     let base = BigUint::random_below(&mut rng, &modulus);
     let exponent = BigUint::random_bits(&mut rng, MOD_POW_BITS);
-    let rounds = env_rounds("BENCH_MODPOW_ROUNDS", 3);
 
     // Minimum-of-N timing: per-op seconds robust against CI noise.
     let (legacy_seconds, legacy_result) =
-        time_min(rounds, || base.mod_pow_legacy(&exponent, &modulus));
-    let (mont_seconds, mont_result) = time_min(rounds, || base.mod_pow(&exponent, &modulus));
+        time_min(MOD_POW_ROUNDS, || base.mod_pow_legacy(&exponent, &modulus));
+    let (mont_seconds, mont_result) =
+        time_min(MOD_POW_ROUNDS, || base.mod_pow(&exponent, &modulus));
     assert_eq!(
         legacy_result, mont_result,
         "Montgomery and legacy mod_pow must agree"
     );
     let mod_pow_speedup = legacy_seconds / mont_seconds.max(1e-12);
+    assert!(
+        mod_pow_speedup > 1.0,
+        "BENCH_crypto.json: Montgomery slower than the legacy path ({mod_pow_speedup:.2}x)"
+    );
 
     // --- Karatsuba vs. schoolbook at product-tree operand sizes ---
     let a = BigUint::random_bits(&mut rng, 16 * 1024);
     let b = BigUint::random_bits(&mut rng, 16 * 1024);
-    let mul_rounds = env_rounds("BENCH_MUL_ROUNDS", 20);
-    let (school_seconds, school_product) = time_min(mul_rounds, || a.mul_schoolbook(&b));
-    let (kara_seconds, kara_product) = time_min(mul_rounds, || a.mul(&b));
+    let (school_seconds, school_product) = time_min(MUL_ROUNDS, || a.mul_schoolbook(&b));
+    let (kara_seconds, kara_product) = time_min(MUL_ROUNDS, || a.mul(&b));
     assert_eq!(school_product, kara_product);
     let karatsuba_speedup = school_seconds / kara_seconds.max(1e-12);
 
@@ -148,11 +149,10 @@ fn main() {
     let out = Json::obj()
         .set("bench", Json::str("crypto"))
         .set("mod_pow_bits", Json::int(MOD_POW_BITS as i64))
-        .set("mod_pow_rounds", Json::int(rounds as i64))
+        .set("mod_pow_rounds", Json::int(MOD_POW_ROUNDS as i64))
         .set("mod_pow_legacy_seconds", Json::Num(legacy_seconds))
         .set("mod_pow_montgomery_seconds", Json::Num(mont_seconds))
         .set("mod_pow_speedup", Json::Num(mod_pow_speedup))
-        .set("mod_pow_paths_agree", Json::Bool(true))
         .set("karatsuba_speedup", Json::Num(karatsuba_speedup))
         .set("cert_sightings", Json::int(interning.sightings as i64))
         .set("distinct_certs", Json::int(interning.distinct as i64))

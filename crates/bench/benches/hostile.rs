@@ -18,25 +18,10 @@
 
 use std::sync::Arc;
 
-use bench::{time, write_bench_json, BenchConfig, Json};
+use bench::{record_digest, time, write_bench_json, BenchConfig, Json};
 use netsim::{Blocklist, Internet};
 use population::{FaultStratum, MiddleboxConfig, MiddleboxPlan, Population};
 use scanner::{HostOutcome, RetryPolicy, ScanConfig, ScanRecord, ScanSummary, Scanner};
-
-/// Order-sensitive digest over a record stream (same fold as the sweep
-/// bench) — any reordering, dropped record, or changed payload shifts
-/// it.
-fn digest(records: &[ScanRecord], opcua_hosts: u64) -> String {
-    format!(
-        "{}/{}/{:x}",
-        records.len(),
-        opcua_hosts,
-        records.iter().fold(0u64, |acc, r| acc
-            .wrapping_mul(1_000_003)
-            .wrapping_add(u64::from(r.address.0))
-            .wrapping_add(r.rx_bytes))
-    )
-}
 
 /// A fresh identically-seeded world with the hostile plan installed.
 fn hostile_world(cfg: &BenchConfig) -> (Internet, Population, MiddleboxPlan) {
@@ -126,7 +111,7 @@ fn main() {
         let (net, population, plan) = hostile_world(&cfg);
         let scanner = scanner_with(net, workers, RetryPolicy::hostile());
         let (seconds, (summary, records)) = time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
-        let run_digest = digest(&records, summary.opcua_hosts);
+        let run_digest = record_digest(&records, summary.opcua_hosts);
         match &baseline_digest {
             None => baseline_digest = Some(run_digest.clone()),
             Some(expected) => assert_eq!(
@@ -161,6 +146,14 @@ fn main() {
     }
     // ua-lint: allow(panic-hygiene) -- BENCH_WORKERS always yields at least one run
     let hostile_summary = hostile_summary.expect("at least one worker count");
+    let faults = hostile_summary.faults;
+    for (field, value) in [
+        ("retried_hosts", faults.retried_hosts),
+        ("connect_attempts", faults.connect_attempts),
+        ("backoff_micros", faults.backoff_micros),
+    ] {
+        assert!(value > 0, "BENCH_hostile.json faults: {field}={value}");
+    }
     let (recoverable, recovered, _) = truth;
 
     // Polite single-attempt baseline on the same hostile world: what a
@@ -171,11 +164,15 @@ fn main() {
     let scanner = scanner_with(net, polite_workers, RetryPolicy::default());
     let (polite_seconds, (polite_summary, _)) =
         time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
-    let undercount = hostile_summary.faults.ok - polite_summary.faults.ok;
+    // Checked before subtracting: bench builds do not trap overflow.
     assert!(
-        undercount > 0,
-        "the hostile preset must make a single-attempt scanner undercount"
+        hostile_summary.faults.ok > polite_summary.faults.ok,
+        "the hostile preset must make a single-attempt scanner undercount: \
+         {} ok with retries vs {} ok with one attempt",
+        hostile_summary.faults.ok,
+        polite_summary.faults.ok
     );
+    let undercount = hostile_summary.faults.ok - polite_summary.faults.ok;
     println!(
         "  polite baseline (workers={polite_workers}): {polite_seconds:.3}s, \
          {} ok vs {} with retries (+{undercount}), retry overhead {:.2}x wall",
@@ -200,7 +197,6 @@ fn main() {
         .set("universe_addresses", Json::int(cfg.universe_size() as i64))
         .set("seed", Json::int(cfg.seed as i64))
         .set("retry_budget", Json::int(budget as i64))
-        .set("deterministic_across_worker_counts", Json::Bool(true))
         .set("recoverable_swept_hosts", Json::int(recoverable as i64))
         .set("recovered_swept_hosts", Json::int(recovered as i64))
         .set(

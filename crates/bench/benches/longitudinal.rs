@@ -10,8 +10,8 @@
 //! population, not the address space. Emits both the *planted* churn
 //! rates (ground truth from the evolution log, per host-week) and the
 //! *detected* series totals so the perf trail doubles as a sanity
-//! record — CI fails when any churn-rate or materialization field is
-//! missing or zero.
+//! record — the bin fails when any churn rate, throughput or
+//! materialization counter is zero.
 //!
 //! ```sh
 //! BENCH_HOSTS=250 BENCH_UNIVERSE=21 BENCH_WEEKS=6 \
@@ -32,6 +32,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
+    assert!(weeks > 0, "BENCH_longitudinal.json: weeks={weeks}");
     println!(
         "longitudinal bench: {} hosts, {} weekly campaigns",
         cfg.hosts, weeks
@@ -46,6 +47,10 @@ fn main() {
     let churn = ChurnConfig::default();
     let mut world = EvolvingWorld::new_lazy(&net, &pop_cfg, churn);
     let hosts_week0 = world.alive_count();
+    assert!(
+        hosts_week0 > 0,
+        "BENCH_longitudinal.json: hosts_week0={hosts_week0}"
+    );
     let scan_config = ScanConfig {
         workers: cfg.worker_counts.first().copied().unwrap_or(1),
         ..ScanConfig::default()
@@ -105,13 +110,34 @@ fn main() {
     let rate = |n: usize| n as f64 / host_weeks.max(1.0);
     let certs = campaign.cert_stats();
     let total_scan: f64 = scan_seconds.iter().sum();
+    let hosts_per_second = hosts_scanned as f64 / total_scan.max(1e-9);
+    let detected_new = series.churn_total(|d| d.new_hosts);
+    let detected_moved = series.churn_total(|d| d.moved_hosts);
+    for (field, value) in [
+        ("hosts_scanned_per_second", hosts_per_second),
+        ("intern_hit_rate", certs.hit_rate()),
+        ("detected_moved", detected_moved as f64),
+        ("detected_new", detected_new as f64),
+    ] {
+        assert!(value > 0.0, "BENCH_longitudinal.json: {field}={value}");
+    }
 
     // Materialization telemetry: the study above ran on a lazy world,
     // so the counters show exactly what the weekly sweeps paid for.
     // Materializing more hosts than the campaign ever scanned would
     // mean the lazy path builds hosts no probe reached.
     let stats = world.stats();
-    assert!(stats.hosts_materialized > 0, "study materialized nothing");
+    for (field, value) in [
+        ("hosts_materialized", stats.hosts_materialized),
+        ("keygen_count", stats.keygen_count),
+        ("bytes_resident_estimate", stats.bytes_resident_estimate),
+        (
+            "peak_bytes_resident_estimate",
+            stats.peak_bytes_resident_estimate,
+        ),
+    ] {
+        assert!(value > 0, "BENCH_longitudinal.json: {field}={value}");
+    }
     assert!(
         stats.hosts_materialized <= hosts_scanned,
         "materialized {} hosts but only {} host-scans happened",
@@ -170,7 +196,7 @@ fn main() {
         scaled_stats.keygen_count
     );
 
-    let json = Json::obj()
+    let mut json = Json::obj()
         .set("weeks", Json::int(weeks as i64))
         .set("hosts_week0", Json::int(hosts_week0 as i64))
         .set("hosts_final", Json::int(world.alive_count() as i64))
@@ -178,48 +204,30 @@ fn main() {
         .set("scan_seconds_total", Json::Num(total_scan))
         .set(
             "scan_seconds_per_week",
-            Json::Num(total_scan / f64::from(weeks.max(1))),
+            Json::Num(total_scan / f64::from(weeks)),
         )
-        .set(
-            "hosts_scanned_per_second",
-            Json::Num(hosts_scanned as f64 / total_scan.max(1e-9)),
-        )
-        // Planted ground-truth churn rates, per host-week. These are
-        // what CI gates on: a longitudinal study without churn measures
-        // nothing.
-        .set(
-            "ip_churn_rate",
-            Json::Num(rate(planted_sum(&|w| w.moves()))),
-        )
-        .set(
-            "arrival_rate",
-            Json::Num(rate(planted_sum(&|w| w.arrivals()))),
-        )
-        .set(
-            "departure_rate",
-            Json::Num(rate(planted_sum(&|w| w.departures()))),
-        )
-        .set(
-            "renewal_rate",
-            Json::Num(rate(planted_sum(&|w| w.renewals()))),
-        )
-        .set(
-            "upgrade_rate",
-            Json::Num(rate(planted_sum(&|w| w.upgrades()))),
-        )
+        .set("hosts_scanned_per_second", Json::Num(hosts_per_second));
+    // Planted ground-truth churn rates, per host-week. A longitudinal
+    // study over a static world measures nothing, so each must be > 0.
+    for (field, events) in [
+        ("ip_churn_rate", planted_sum(&|w| w.moves())),
+        ("arrival_rate", planted_sum(&|w| w.arrivals())),
+        ("departure_rate", planted_sum(&|w| w.departures())),
+        ("renewal_rate", planted_sum(&|w| w.renewals())),
+        ("upgrade_rate", planted_sum(&|w| w.upgrades())),
+    ] {
+        let value = rate(events);
+        assert!(value > 0.0, "BENCH_longitudinal.json: {field}={value}");
+        json = json.set(field, Json::Num(value));
+    }
+    let json = json
         // Detected series totals (post-baseline weeks).
-        .set(
-            "detected_new",
-            Json::int(series.churn_total(|d| d.new_hosts) as i64),
-        )
+        .set("detected_new", Json::int(detected_new as i64))
         .set(
             "detected_vanished",
             Json::int(series.churn_total(|d| d.vanished_hosts) as i64),
         )
-        .set(
-            "detected_moved",
-            Json::int(series.churn_total(|d| d.moved_hosts) as i64),
-        )
+        .set("detected_moved", Json::int(detected_moved as i64))
         .set(
             "detected_renewed",
             Json::int(series.churn_total(|d| d.renewed_certs) as i64),
@@ -253,15 +261,13 @@ fn main() {
         .set("scaled_keygen_count", Json::int(scaled_stats.keygen_count))
         .set(
             "scaled_scan_seconds_per_week",
-            Json::Num(scaled_seconds / f64::from(weeks.max(1))),
-        )
-        .set("universe_scale_independent", Json::Bool(true));
+            Json::Num(scaled_seconds / f64::from(weeks)),
+        );
 
     let path = write_bench_json("longitudinal", &json);
     println!(
         "longitudinal: {weeks} weeks in {study_seconds:.2}s, \
-         {:.0} hosts/s, intern hit rate {:.0}%, wrote {}",
-        hosts_scanned as f64 / total_scan.max(1e-9),
+         {hosts_per_second:.0} hosts/s, intern hit rate {:.0}%, wrote {}",
         certs.hit_rate() * 100.0,
         path.display()
     );

@@ -19,28 +19,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use assessment::{assess, Deficit};
-use bench::{time, write_bench_json, BenchConfig, Json};
+use bench::{record_digest, time, write_bench_json, BenchConfig, Json};
 use netsim::{Blocklist, Internet};
 use population::{MultiProtoConfig, MultiProtoPlan, TlsClass};
 use scanner::{
     OpcUaSuite, ProtocolPayload, ScanConfig, ScanRecord, Scanner, UatTlsSuite, DEFAULT_OPCUA_PORT,
     DEFAULT_UATLS_PORT,
 };
-
-/// Order-sensitive digest over a record stream (same fold as the sweep
-/// and hostile benches) — any reordering, dropped record, or changed
-/// payload shifts it.
-fn digest(records: &[ScanRecord], opcua_hosts: u64) -> String {
-    format!(
-        "{}/{}/{:x}",
-        records.len(),
-        opcua_hosts,
-        records.iter().fold(0u64, |acc, r| acc
-            .wrapping_mul(1_000_003)
-            .wrapping_add(u64::from(r.address.0))
-            .wrapping_add(r.rx_bytes))
-    )
-}
 
 /// TLS strata scaled to the bench size (at least one host per class).
 fn tls_config(cfg: &BenchConfig) -> MultiProtoConfig {
@@ -108,7 +93,7 @@ fn main() {
         let (net, _) = two_protocol_world(&cfg);
         let scanner = two_suite_scanner(net, workers);
         let (seconds, (summary, records)) = time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
-        let run_digest = digest(&records, summary.opcua_hosts);
+        let run_digest = record_digest(&records, summary.opcua_hosts);
         match &baseline_digest {
             None => baseline_digest = Some(run_digest.clone()),
             Some(expected) => assert_eq!(
@@ -147,6 +132,12 @@ fn main() {
         "TLS-cert-expired column diverged from the planted stratum"
     );
 
+    for suite in ["opcua", "uat-tls"] {
+        assert!(
+            suite_counts.contains_key(suite),
+            "BENCH_multiproto.json: missing per_suite entry {suite:?}"
+        );
+    }
     let mut per_suite = Json::obj();
     for (label, count) in &suite_counts {
         assert!(*count > 0, "suite {label} produced no records");
@@ -160,7 +151,13 @@ fn main() {
     }
     let mut strata = Json::obj();
     for class in TlsClass::ALL {
-        strata = strata.set(class.label(), Json::int(plan.count(class) as i64));
+        let planted = plan.count(class);
+        assert!(
+            planted > 0,
+            "BENCH_multiproto.json planted_strata: {}={planted}",
+            class.label()
+        );
+        strata = strata.set(class.label(), Json::int(planted as i64));
     }
 
     let out = Json::obj()
@@ -169,7 +166,6 @@ fn main() {
         .set("uattls_hosts", Json::int(tls.total() as i64))
         .set("universe_addresses", Json::int(cfg.universe_size() as i64))
         .set("seed", Json::int(cfg.seed as i64))
-        .set("deterministic_across_worker_counts", Json::Bool(true))
         .set(
             "tls_but_anonymous",
             Json::int(report.count(Deficit::TlsButAnonymous) as i64),

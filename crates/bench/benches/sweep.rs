@@ -16,22 +16,7 @@
 //!
 //! Emits `BENCH_sweep.json`.
 
-use bench::{time, write_bench_json, BenchConfig, Json};
-use scanner::ScanRecord;
-
-/// Cheap order-sensitive digest over a record stream — any reordering,
-/// dropped record, or changed payload shifts it.
-fn digest(records: &[ScanRecord], opcua_hosts: u64) -> String {
-    format!(
-        "{}/{}/{:x}",
-        records.len(),
-        opcua_hosts,
-        records.iter().fold(0u64, |acc, r| acc
-            .wrapping_mul(1_000_003)
-            .wrapping_add(u64::from(r.address.0))
-            .wrapping_add(r.rx_bytes))
-    )
-}
+use bench::{record_digest, time, write_bench_json, BenchConfig, Json};
 
 fn main() {
     let cfg = BenchConfig::from_env();
@@ -51,7 +36,7 @@ fn main() {
         let scanner = cfg.scanner(net, workers);
         let (seconds, (summary, records)) = time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
 
-        let run_digest = digest(&records, summary.opcua_hosts);
+        let run_digest = record_digest(&records, summary.opcua_hosts);
         match &baseline_digest {
             None => baseline_digest = Some(run_digest),
             Some(expected) => assert_eq!(
@@ -62,6 +47,10 @@ fn main() {
 
         let addrs_per_sec = universe_size as f64 / seconds;
         let hosts_per_sec = summary.sweep.responsive as f64 / seconds;
+        assert!(
+            summary.sweep.responsive > 0,
+            "BENCH_sweep.json workers={workers}: hosts_per_second={hosts_per_sec}"
+        );
         let speedup = baseline_seconds.map(|base: f64| base / seconds);
         if baseline_seconds.is_none() {
             baseline_seconds = Some(seconds);
@@ -102,7 +91,7 @@ fn main() {
     let scanner = cfg.scanner(lazy_net, lazy_workers);
     let (lazy_seconds, (lazy_summary, lazy_records)) =
         time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
-    let lazy_digest = digest(&lazy_records, lazy_summary.opcua_hosts);
+    let lazy_digest = record_digest(&lazy_records, lazy_summary.opcua_hosts);
     assert_eq!(
         baseline_digest.as_ref(),
         Some(&lazy_digest),
@@ -113,6 +102,17 @@ fn main() {
         stats.hosts_materialized, lazy_summary.opcua_hosts,
         "lazy world materialized hosts the scan never reached"
     );
+    for (field, value) in [
+        ("hosts_materialized", stats.hosts_materialized),
+        ("keygen_count", stats.keygen_count),
+        ("bytes_resident_estimate", stats.bytes_resident_estimate),
+        (
+            "peak_bytes_resident_estimate",
+            stats.peak_bytes_resident_estimate,
+        ),
+    ] {
+        assert!(value > 0, "BENCH_sweep.json lazy: {field}={value}");
+    }
     println!(
         "  lazy (workers={lazy_workers}): {lazy_seconds:.3}s, \
          {} hosts materialized, {} keygens, ~{} bytes resident",
@@ -128,7 +128,6 @@ fn main() {
         .set("hosts", Json::int(cfg.hosts as i64))
         .set("universe_addresses", Json::int(universe_size as i64))
         .set("seed", Json::int(cfg.seed as i64))
-        .set("deterministic_across_worker_counts", Json::Bool(true))
         .set("runs", Json::Arr(runs))
         .set(
             "lazy",
@@ -144,8 +143,7 @@ fn main() {
                 .set(
                     "peak_bytes_resident_estimate",
                     Json::int(stats.peak_bytes_resident_estimate),
-                )
-                .set("digest_matches_eager", Json::Bool(true)),
+                ),
         );
     let path = write_bench_json("sweep", &out);
     println!("wrote {}", path.display());

@@ -1,24 +1,29 @@
 //! # bench
 //!
-//! The benchmark and figure-reproduction harness behind the five bench
-//! bins (`sweep`, `protocol`, `crypto`, `ablation`, `figures`). Each bin
-//! drives the real pipeline (population → sharded scan → incremental
-//! assessment) on a configurable universe, measures wall-clock cost, and
-//! emits a machine-readable `BENCH_<name>.json` so CI leaves a perf trail
-//! per PR.
+//! The benchmark and figure-reproduction harness behind the eight bench
+//! bins (`sweep`, `protocol`, `crypto`, `ablation`, `figures`,
+//! `longitudinal`, `hostile`, `multiproto`). Each bin drives the real
+//! pipeline (population → sharded scan → incremental assessment) on a
+//! configurable universe, measures wall-clock cost, and emits a
+//! machine-readable `BENCH_<name>.json` so CI leaves a perf trail per
+//! PR. Each bin also asserts its own gates (ground truth, determinism,
+//! the speedups it exists to show) where it computes the values, so it
+//! exits non-zero on a failed gate and a written JSON has passed all of
+//! them: a local `cargo bench --bench <name>` is the same check CI runs.
 //!
 //! Everything here is dependency-free by construction (builds are
 //! hermetic): JSON is written by hand via [`Json`], configuration comes
 //! from `BENCH_*` environment variables, and timing uses
 //! `std::time::Instant`.
 //!
-//! | variable           | default | meaning                                 |
-//! |--------------------|---------|-----------------------------------------|
-//! | `BENCH_HOSTS`      | 300     | deployments synthesized per scenario    |
-//! | `BENCH_UNIVERSE`   | /20     | scanned universe as `10.0.0.0/<bits>`   |
-//! | `BENCH_WORKERS`    | 1,2,4,8 | comma-separated worker counts (`sweep`) |
-//! | `BENCH_SEED`       | 2020    | campaign seed                           |
-//! | `BENCH_OUT_DIR`    | `.`     | where `BENCH_<name>.json` files land    |
+//! | variable         | default | meaning                                      |
+//! |------------------|---------|----------------------------------------------|
+//! | `BENCH_HOSTS`    | 300     | deployments synthesized per scenario         |
+//! | `BENCH_UNIVERSE` | /20     | scanned universe as `10.0.0.0/<bits>`        |
+//! | `BENCH_WORKERS`  | 1,2,4,8 | comma-separated worker counts (`sweep`, `hostile`, `multiproto`; `longitudinal` runs at the first) |
+//! | `BENCH_WEEKS`    | 8       | weekly campaigns (`longitudinal`)            |
+//! | `BENCH_SEED`     | 2020    | campaign seed                                |
+//! | `BENCH_OUT_DIR`  | `.`     | where `BENCH_<name>.json` files land         |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -143,7 +148,8 @@ pub struct BenchConfig {
     pub hosts: usize,
     /// Scanned universe.
     pub universe: Vec<Cidr>,
-    /// Worker counts the `sweep` bench compares.
+    /// Worker counts the `sweep`, `hostile` and `multiproto` benches
+    /// compare.
     pub worker_counts: Vec<usize>,
     /// Campaign seed.
     pub seed: u64,
@@ -262,6 +268,23 @@ pub fn campaign_modulus_sightings(records: &[ScanRecord]) -> Vec<ua_crypto::BigU
         }
     }
     moduli
+}
+
+/// Cheap order-sensitive digest over a record stream, as
+/// `<records>/<opcua_hosts>/<fold in hex>`: any reordering, dropped
+/// record, or changed address or byte count shifts it. The `sweep`,
+/// `hostile` and `multiproto` benches assert it is the same at every
+/// worker count.
+pub fn record_digest(records: &[ScanRecord], opcua_hosts: u64) -> String {
+    format!(
+        "{}/{}/{:x}",
+        records.len(),
+        opcua_hosts,
+        records.iter().fold(0u64, |acc, r| acc
+            .wrapping_mul(1_000_003)
+            .wrapping_add(u64::from(r.address.0))
+            .wrapping_add(r.rx_bytes))
+    )
 }
 
 /// Runs `f` `rounds` times, returning the *minimum* wall-clock seconds
@@ -411,6 +434,28 @@ mod tests {
             records.iter().filter(|r| r.hello_ok()).count(),
             population.len()
         );
+    }
+
+    #[test]
+    fn record_digest_tracks_order_and_payload() {
+        let cfg = BenchConfig {
+            hosts: 12,
+            universe: vec!["10.0.0.0/24".parse().unwrap()],
+            worker_counts: vec![1],
+            seed: 7,
+        };
+        let (net, _) = cfg.build_world();
+        let (summary, records) = cfg.scanner(net, 1).scan_collect(&cfg.universe, cfg.seed);
+        assert!(records.len() >= 2);
+        let digest = record_digest(&records, summary.opcua_hosts);
+
+        let mut swapped = records.clone();
+        swapped.swap(0, 1);
+        assert_ne!(record_digest(&swapped, summary.opcua_hosts), digest);
+
+        let mut grown = records.clone();
+        grown[0].rx_bytes += 1;
+        assert_ne!(record_digest(&grown, summary.opcua_hosts), digest);
     }
 
     #[test]

@@ -57,8 +57,14 @@ fn main() {
     let report = assess(&records);
 
     // --- Walkthrough, one §5 finding at a time. ---
-    let check = |label: &str, found: usize, expected: usize| {
-        let mark = if found == expected { "ok" } else { "MISMATCH" };
+    let mut mismatches = 0usize;
+    let mut check = |label: &str, found: usize, expected: usize| {
+        let mark = if found == expected {
+            "ok"
+        } else {
+            mismatches += 1;
+            "MISMATCH"
+        };
         println!("  {label:<42} found {found:>3}, ground truth {expected:>3}  [{mark}]");
     };
 
@@ -138,4 +144,7 @@ fn main() {
     );
 
     println!("\n{report}");
+    if mismatches > 0 {
+        std::process::exit(1);
+    }
 }

@@ -59,8 +59,14 @@ fn main() {
 
     let report = assess(&records);
 
-    let check = |label: &str, found: usize, expected: usize| {
-        let mark = if found == expected { "ok" } else { "MISMATCH" };
+    let mut mismatches = 0usize;
+    let mut check = |label: &str, found: usize, expected: usize| {
+        let mark = if found == expected {
+            "ok"
+        } else {
+            mismatches += 1;
+            "MISMATCH"
+        };
         println!("  {label:<44} found {found:>3}, ground truth {expected:>3}  [{mark}]");
     };
     let n = |class: HostClass| population.count(class);
@@ -146,4 +152,7 @@ fn main() {
     );
 
     println!("\n{report}");
+    if mismatches > 0 {
+        std::process::exit(1);
+    }
 }

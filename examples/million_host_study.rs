@@ -12,8 +12,8 @@
 //! hosts, not the 1,048,576 addresses; CI runs this example under a
 //! hard `ulimit -v` to hold that claim.
 //!
-//! Two self-checks print `[ok]`/`[MISMATCH]` (CI greps for the
-//! latter):
+//! Two self-checks print `[ok]`/`[MISMATCH]`; the example exits
+//! non-zero after printing everything if either fails:
 //!
 //! 1. **Equivalence** — on a small shared world, an eager and a lazy
 //!    deployment must produce byte-identical scan records.
@@ -108,15 +108,12 @@ fn main() {
     let arrivals: usize = world.history().iter().map(|w| w.arrivals()).sum();
     let ever_alive = initial_hosts + arrivals;
     let stats = world.stats();
+    let frugal = stats.hosts_materialized == ever_alive as u64;
     println!(
         "\nhosts ever alive: {initial_hosts} initial + {arrivals} arrivals = {ever_alive}; \
          materialized {}  [{}]",
         stats.hosts_materialized,
-        if stats.hosts_materialized == ever_alive as u64 {
-            "ok"
-        } else {
-            "MISMATCH"
-        }
+        if frugal { "ok" } else { "MISMATCH" }
     );
     println!(
         "peak resident estimate ~{} KiB for a {}-address universe \
@@ -128,4 +125,7 @@ fn main() {
             .checked_div(stats.hosts_materialized)
             .unwrap_or(0),
     );
+    if !(identical && frugal) {
+        std::process::exit(1);
+    }
 }

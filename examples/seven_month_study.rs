@@ -14,8 +14,8 @@
 //!
 //! Every series is cross-checked against a ground-truth mirror built
 //! from the world's true state with the same diffing rules — any
-//! `[MISMATCH]` means the scanner lost track of the fleet (CI greps for
-//! it).
+//! `[MISMATCH]` means the scanner lost track of the fleet, and the
+//! example exits non-zero after printing everything.
 //!
 //! Deterministic: the same seed prints the same seven months, at any
 //! worker count (CI diffs a 1-worker against a 4-worker run).
@@ -289,5 +289,8 @@ fn main() {
             stats.bytes_resident_estimate,
             stats.peak_bytes_resident_estimate,
         );
+    }
+    if mismatches > 0 {
+        std::process::exit(1);
     }
 }
