@@ -1,5 +1,5 @@
-//! Crypto-layer benchmarks and the perf gate for the Montgomery /
-//! Karatsuba / interning work:
+//! Crypto-layer benchmarks and the two wall-clock ratio gates a
+//! debug-mode `cargo test` cannot run:
 //!
 //! * 2048-bit `mod_pow`: the Montgomery windowed path
 //!   (`BigUint::mod_pow`) against the legacy square-and-multiply path
@@ -8,20 +8,29 @@
 //! * Karatsuba vs. schoolbook multiplication at product-tree sizes;
 //! * SHA-1 thumbprinting and DER parse throughput over the campaign's
 //!   certificates;
-//! * batch GCD over the deduplicated campaign moduli;
+//! * batch GCD vs. naive pairwise GCD for shared-prime detection
+//!   (Heninger et al.'s optimization, which the paper applies to OPC UA
+//!   certificates): both must find the same shared factors;
+//! * what certificate interning buys the GCD stage: the product tree
+//!   over the deduplicated moduli vs. over every sighting — the bin
+//!   fails if deduplication ever makes it slower;
 //! * certificate-interning hit rate: total sightings vs. distinct DERs
 //!   as counted by the campaign's `CertStore`.
 //!
 //! ```sh
-//! BENCH_HOSTS=300 cargo bench --bench crypto
+//! BENCH_HOSTS=250 BENCH_UNIVERSE=21 cargo bench --bench crypto
 //! ```
 //!
-//! Emits `BENCH_crypto.json`.
+//! Prints its numbers and exits non-zero on a failed gate or
+//! disagreement.
 
-use bench::{campaign_moduli, time, time_min, write_bench_json, BenchConfig, Json};
+use bench::{campaign_moduli, campaign_modulus_sightings, time, time_min, BenchConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ua_crypto::{batch_gcd, find_shared_factors, sha1, BigUint, Certificate};
+use ua_crypto::{
+    batch_gcd, find_shared_factors, pairwise_shared_factors, sha1, BigUint, Certificate,
+    SharedFactor,
+};
 
 /// Modulus width for the mod_pow gate — the paper's dominant real-world
 /// RSA key length (Figure 4).
@@ -33,9 +42,22 @@ const MOD_POW_ROUNDS: usize = 3;
 /// Minimum-of-N rounds for the 16k-bit multiply timings.
 const MUL_ROUNDS: usize = 20;
 
+/// Minimum-of-N rounds for the deduplicated-vs-sightings GCD trees.
+const GCD_TREE_ROUNDS: usize = 5;
+
+/// Shared-prime pairs as sorted `(low, high)` index pairs, so two
+/// detectors compare order-insensitively.
+fn pairs(hits: &[SharedFactor]) -> Vec<(usize, usize)> {
+    let mut pairs: Vec<(usize, usize)> =
+        hits.iter().map(|h| (h.a.min(h.b), h.a.max(h.b))).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
 fn main() {
     let cfg = BenchConfig::from_env();
-    let (net, _population) = cfg.build_world();
+    let (net, population) = cfg.build_world();
     let scanner = cfg.scanner(net, 1);
     let (summary, records) = scanner.scan_collect(&cfg.universe, cfg.seed);
 
@@ -60,7 +82,7 @@ fn main() {
     let mod_pow_speedup = legacy_seconds / mont_seconds.max(1e-12);
     assert!(
         mod_pow_speedup > 1.0,
-        "BENCH_crypto.json: Montgomery slower than the legacy path ({mod_pow_speedup:.2}x)"
+        "crypto: Montgomery slower than the legacy path ({mod_pow_speedup:.2}x)"
     );
 
     // --- Karatsuba vs. schoolbook at product-tree operand sizes ---
@@ -109,11 +131,36 @@ fn main() {
     });
     let certs_per_sec = parsed as f64 / parse_seconds;
 
-    // --- Batch GCD over the deduplicated moduli ---
+    // --- Batch GCD vs. pairwise GCD over the deduplicated moduli ---
+    // The deduplicated moduli exactly as the assessor accumulates them,
+    // and the raw sighting multiset a dedup-unaware pipeline would feed.
     let moduli = campaign_moduli(&records);
-    let (tree_seconds, remainders) = time(|| batch_gcd(&moduli));
-    let (scan_seconds, hits) = time(|| find_shared_factors(&moduli));
-    assert_eq!(remainders.len(), moduli.len());
+    let sightings = campaign_modulus_sightings(&records);
+    assert!(moduli.len() > 2, "need moduli to compare detectors");
+    assert!(sightings.len() >= moduli.len());
+    let (batch_seconds, batch_hits) = time(|| find_shared_factors(&moduli));
+    let (pairwise_seconds, pairwise_hits) = time(|| pairwise_shared_factors(&moduli));
+    let batch_pairs = pairs(&batch_hits);
+    assert_eq!(
+        batch_pairs,
+        pairs(&pairwise_hits),
+        "batch GCD and pairwise GCD must find the same shared primes"
+    );
+    let batch_speedup = pairwise_seconds / batch_seconds.max(1e-12);
+
+    // --- What interning buys the GCD stage: deduplicated vs. sightings ---
+    let (dedup_tree_seconds, dedup_rems) = time_min(GCD_TREE_ROUNDS, || batch_gcd(&moduli));
+    let (sightings_tree_seconds, sighting_rems) =
+        time_min(GCD_TREE_ROUNDS, || batch_gcd(&sightings));
+    assert_eq!(dedup_rems.len(), moduli.len());
+    assert_eq!(sighting_rems.len(), sightings.len());
+    let dedup_speedup = sightings_tree_seconds / dedup_tree_seconds.max(1e-12);
+    // Deduplicated moduli must not make the GCD tree slower: the
+    // interning work exists to shrink this input.
+    assert!(
+        dedup_speedup >= 1.0,
+        "crypto: dedup made batch GCD slower ({dedup_speedup:.2}x)"
+    );
 
     // --- Interning observability (the §5.2 reuse factor) ---
     let interning = summary.certs;
@@ -121,11 +168,15 @@ fn main() {
     assert!(interning.distinct > 0);
 
     println!(
-        "crypto bench: {} cert sightings, {} distinct ({}% intern hit rate), {} distinct moduli",
+        "crypto bench: {} deployments, {} OPC UA hosts; {} cert sightings, {} distinct \
+         ({}% intern hit rate); {} distinct moduli, {} modulus sightings",
+        population.len(),
+        summary.opcua_hosts,
         interning.sightings,
         interning.distinct,
         (interning.hit_rate() * 100.0).round(),
-        moduli.len()
+        moduli.len(),
+        sightings.len()
     );
     println!(
         "  mod_pow {MOD_POW_BITS}-bit  legacy {:>8.1} ms/op, montgomery {:>7.2} ms/op  → {mod_pow_speedup:.1}x",
@@ -140,30 +191,14 @@ fn main() {
     println!("  sha1        {sha_mib_per_sec:>10.1} MiB/s");
     println!("  der parse   {certs_per_sec:>10.0} certs/s");
     println!(
-        "  batch gcd   {:>10.3} ms tree + {:.3} ms factor scan, {} shared-prime hits",
-        tree_seconds * 1e3,
-        scan_seconds * 1e3,
-        hits.len()
+        "  shared primes  batch {:>8.3} ms, pairwise {:>8.3} ms  → {batch_speedup:.1}x, {} hits",
+        batch_seconds * 1e3,
+        pairwise_seconds * 1e3,
+        batch_pairs.len()
     );
-
-    let out = Json::obj()
-        .set("bench", Json::str("crypto"))
-        .set("mod_pow_bits", Json::int(MOD_POW_BITS as i64))
-        .set("mod_pow_rounds", Json::int(MOD_POW_ROUNDS as i64))
-        .set("mod_pow_legacy_seconds", Json::Num(legacy_seconds))
-        .set("mod_pow_montgomery_seconds", Json::Num(mont_seconds))
-        .set("mod_pow_speedup", Json::Num(mod_pow_speedup))
-        .set("karatsuba_speedup", Json::Num(karatsuba_speedup))
-        .set("cert_sightings", Json::int(interning.sightings as i64))
-        .set("distinct_certs", Json::int(interning.distinct as i64))
-        .set("intern_hit_rate", Json::Num(interning.hit_rate()))
-        .set("certificate_bytes", Json::int(der_bytes as i64))
-        .set("distinct_moduli", Json::int(moduli.len() as i64))
-        .set("sha1_mib_per_second", Json::Num(sha_mib_per_sec))
-        .set("der_parse_certs_per_second", Json::Num(certs_per_sec))
-        .set("batch_gcd_seconds", Json::Num(tree_seconds))
-        .set("shared_factor_scan_seconds", Json::Num(scan_seconds))
-        .set("shared_prime_hits", Json::int(hits.len() as i64));
-    let path = write_bench_json("crypto", &out);
-    println!("wrote {}", path.display());
+    println!(
+        "  gcd tree  deduplicated {:>8.3} ms, all sightings {:>8.3} ms  → dedup {dedup_speedup:.1}x",
+        dedup_tree_seconds * 1e3,
+        sightings_tree_seconds * 1e3,
+    );
 }

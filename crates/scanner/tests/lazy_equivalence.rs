@@ -3,7 +3,8 @@
 //! of view — same `ScanRecord` streams, same summaries, same
 //! longitudinal series — at every worker count, for every host class.
 //! And a lazy world must pay only for the hosts probes actually reach:
-//! unresponsive addresses materialize nothing.
+//! unresponsive addresses materialize nothing, and a study's cost
+//! tracks the population, not the size of the universe.
 
 use netsim::{Blocklist, Cidr, Internet, VirtualClock};
 use population::{
@@ -220,4 +221,56 @@ fn longitudinal_series_is_identical_eager_and_lazy() {
         }
         assert_eq!(eager_truth, lazy_truth, "workers={workers}: final truth");
     }
+}
+
+/// Runs a `weeks`-week study on a lazy world over `universe` and
+/// returns the materialization counters plus the host-scans the
+/// campaigns performed (OPC UA hosts summed over the weeks).
+fn lazy_study(universe: &[Cidr], weeks: u32) -> (population::MaterializationStats, u64) {
+    let net = fresh_net();
+    let cfg = PopulationConfig::new(SEED, universe.to_vec(), StrataMix::paper_like(36));
+    let mut world = EvolvingWorld::new_lazy(&net, &cfg, ChurnConfig::default());
+    assert!(world.alive_count() > 0, "week 0 deploys no hosts");
+    let mut campaign = Campaign::new(Scanner::new(net, Blocklist::new(), ScanConfig::default()));
+    let mut host_scans = 0;
+    for _ in 0..weeks {
+        let scan = campaign.run_week(universe, SEED, |w| {
+            if w > 0 {
+                world.evolve(w);
+            }
+        });
+        host_scans += scan.summary.opcua_hosts;
+    }
+    (world.stats(), host_scans)
+}
+
+#[test]
+fn lazy_study_cost_tracks_the_population_not_the_universe() {
+    let (stats, host_scans) = lazy_study(&universe(), 4);
+    // The weekly sweeps paid for real hosts...
+    assert!(stats.hosts_materialized > 0, "{stats:?}");
+    assert!(stats.keygen_count > 0, "{stats:?}");
+    assert!(stats.bytes_resident_estimate > 0, "{stats:?}");
+    assert!(stats.peak_bytes_resident_estimate > 0, "{stats:?}");
+    // ...and only for hosts a probe reached.
+    assert!(
+        stats.hosts_materialized <= host_scans,
+        "materialized {} hosts but only {host_scans} host-scans happened",
+        stats.hosts_materialized
+    );
+
+    // Host identities, churn events and key generations are functions
+    // of (seed, host id, week), so the identical study in a 16× larger
+    // address space must build exactly as much.
+    let base = universe()[0];
+    let scaled = vec![Cidr::new(base.base, base.prefix_len - 4)];
+    let (scaled_stats, _) = lazy_study(&scaled, 4);
+    assert_eq!(
+        scaled_stats.hosts_materialized, stats.hosts_materialized,
+        "a 16× universe changed how many hosts materialized"
+    );
+    assert_eq!(
+        scaled_stats.keygen_count, stats.keygen_count,
+        "a 16× universe changed how many keys were generated"
+    );
 }

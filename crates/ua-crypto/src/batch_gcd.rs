@@ -21,7 +21,7 @@ pub struct SharedFactor {
 }
 
 /// Naive O(n²) pairwise GCD scan. Exact and simple; used as the reference
-/// implementation and for the ablation benchmark.
+/// implementation and for the `crypto` bench.
 pub fn pairwise_shared_factors(moduli: &[BigUint]) -> Vec<SharedFactor> {
     let mut out = Vec::new();
     for i in 0..moduli.len() {

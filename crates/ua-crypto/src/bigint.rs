@@ -20,7 +20,8 @@
 //!   ([`BigUint::mod_pow_legacy`], one Knuth division per step) only for
 //!   even moduli. RSA moduli are odd, so signature verification and the
 //!   Miller–Rabin witnesses of [`crate::prime`] always take the fast
-//!   path. `crates/bench`'s `crypto` gate keeps both paths measurable.
+//!   path. The `crypto` bench bin keeps both paths measurable and
+//!   fails if Montgomery is ever the slower one.
 //!
 //! Division stays Knuth Algorithm D and GCD stays binary — correct for
 //! arbitrary sizes (tested up to 4096 bit) and auditable.

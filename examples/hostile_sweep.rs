@@ -13,9 +13,11 @@
 //! 2. **Classification**: every unrecoverable host's [`HostOutcome`]
 //!    matches its replayed terminal fate (timed out / throttled /
 //!    tarpitted).
-//! 3. **Undercount**: a polite single-attempt baseline misses hosts a
+//! 3. **Retry cost**: the hostile plan makes the scanner retry hosts,
+//!    spend extra connect attempts and back off in virtual time.
+//! 4. **Undercount**: a polite single-attempt baseline misses hosts a
 //!    retrying scanner recovers — the bias the layer exists to fix.
-//! 4. **Determinism**: the hostile sweep is byte-identical across
+//! 5. **Determinism**: the hostile sweep is byte-identical across
 //!    worker counts.
 //!
 //! ```sh
@@ -168,6 +170,10 @@ fn main() {
             && faults.tarpitted == want_tarpitted
             && faults.unrecovered() == want_timed_out + want_throttled + want_tarpitted,
     );
+    all_ok &= check(
+        "the retry layer did work: hosts retried, extra connects, virtual backoff",
+        faults.retried_hosts > 0 && faults.connect_attempts > 0 && faults.backoff_micros > 0,
+    );
 
     // --- The polite baseline undercounts. ----------------------------
     let (polite, universe_p, _, _) = build(seed, RetryPolicy::default(), 1);
@@ -176,7 +182,7 @@ fn main() {
         "polite baseline: {} ok vs {} ok with retries ({} hosts recovered by retrying)",
         polite_summary.faults.ok,
         faults.ok,
-        faults.ok - polite_summary.faults.ok,
+        faults.ok.saturating_sub(polite_summary.faults.ok),
     );
     all_ok &= check(
         "a single-attempt scanner visibly undercounts the hostile net",

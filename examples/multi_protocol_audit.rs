@@ -9,8 +9,9 @@
 //! with vendor fingerprinting, so the audit also recovers the vendor
 //! each synthesized stack betrays through its error taxonomy. Checks:
 //!
-//! 1. **Coverage**: every planted `uat-tls` host yields a speaking
-//!    record; typed payloads partition the records by suite.
+//! 1. **Coverage**: every TLS stratum is planted, every planted
+//!    `uat-tls` host yields a speaking record; typed payloads partition
+//!    the records by suite.
 //! 2. **Deficit columns**: TLS-but-anonymous and TLS-cert-expired
 //!    counts equal the planted strata exactly.
 //! 3. **Vendor breakdown**: fingerprinting attributes every host — on
@@ -130,6 +131,10 @@ fn main() {
     for class in TlsClass::ALL {
         println!("  planted {:<20} {}", class.label(), plan.count(class));
     }
+    all_ok &= check(
+        "every TLS stratum is planted (secure, anonymous inner, expired cert)",
+        TlsClass::ALL.iter().all(|&class| plan.count(class) > 0),
+    );
     all_ok &= check(
         "every planted uat-tls host speaks the prologue",
         tls_speakers == plan.hosts.len(),

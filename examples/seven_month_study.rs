@@ -15,7 +15,12 @@
 //! Every series is cross-checked against a ground-truth mirror built
 //! from the world's true state with the same diffing rules — any
 //! `[MISMATCH]` means the scanner lost track of the fleet, and the
-//! example exits non-zero after printing everything.
+//! example exits non-zero after printing everything. So does a study
+//! that measured no churn: every planted churn kind (moves, arrivals,
+//! departures, renewals, upgrades), detected arrivals and moves, and
+//! certificate-interning hits must each be non-zero. A study of only a
+//! few weeks may plant too little churn to pass; the default seed
+//! passes at six weeks (what CI runs) and at thirty.
 //!
 //! Deterministic: the same seed prints the same seven months, at any
 //! worker count (CI diffs a 1-worker against a 4-worker run).
@@ -269,6 +274,31 @@ fn main() {
             .map(|p| p.delta.hosts)
             .unwrap_or(0),
         world.alive_count(),
+    );
+
+    // A longitudinal study over a static world measures nothing: every
+    // kind of planted churn must occur, the differ must see hosts
+    // arrive and move, and the shared `CertStore` must serve repeats.
+    println!("\nchurn coverage (each must be > 0):");
+    let mut nonzero = |label: &str, found: usize| {
+        let mark = if found > 0 {
+            "ok"
+        } else {
+            mismatches += 1;
+            "MISMATCH"
+        };
+        println!("  {label:<52} found {found:>4}  [{mark}]");
+    };
+    nonzero("planted IP moves", sum(&|w| w.moves()));
+    nonzero("planted arrivals", sum(&|w| w.arrivals()));
+    nonzero("planted departures", sum(&|w| w.departures()));
+    nonzero("planted certificate renewals", sum(&|w| w.renewals()));
+    nonzero("planted software upgrades", sum(&|w| w.upgrades()));
+    nonzero("new hosts detected", detected_total.new_hosts);
+    nonzero("moved hosts detected", detected_total.moved_hosts);
+    nonzero(
+        "certificate-interning hits (sightings − distinct)",
+        certs.sightings.saturating_sub(certs.distinct) as usize,
     );
 
     if mismatches == 0 {

@@ -169,9 +169,10 @@
 //!   eager path at any worker count; resident memory tracks the hosts
 //!   probes actually reach, never the address space
 //!   (`MaterializationStats` reports hosts materialized, keys
-//!   generated, and the resident-bytes estimate; the `sweep` and
-//!   `longitudinal` benches record them, and CI runs a million-address
-//!   study under a hard `ulimit -v`).
+//!   generated, and the resident-bytes estimate; the lazy-equivalence
+//!   tests gate them, including a 16×-universe replay that must build
+//!   exactly as much, and CI runs a million-address study under a hard
+//!   `ulimit -v`).
 //! * **Longitudinal campaigns** — `population::EvolvingWorld` churns
 //!   the deployed fleet week over week (DHCP-style IP reassignment,
 //!   arrivals/departures, certificate renewal, software up/downgrades,
@@ -231,13 +232,13 @@
 //!   Deliberate exceptions are waived per site with
 //!   `// ua-lint: allow(<rule>) -- <why>` (see
 //!   `examples/README.md` § Invariants & lints).
-//! * **Perf trail** — `cargo bench --bench sweep|protocol|crypto|`
-//!   `ablation|figures|longitudinal` measures the pipeline and writes
-//!   `BENCH_<name>.json` (see `crates/bench`); CI runs
-//!   `sweep`+`ablation`+`crypto`+`longitudinal`, fails if Montgomery
-//!   ever loses to the legacy path, deduplication stops paying, or the
-//!   longitudinal churn rates collapse to zero, and uploads the
-//!   artifacts on every run.
+//! * **Performance** — perfbench (`crates/bench/perfbench`, the command
+//!   in `BENCHMARK.json`) times whole campaigns for seconds on three
+//!   workloads and splits the time by layer. One bench bin remains,
+//!   `cargo bench --bench crypto`: CI runs it and fails if Montgomery
+//!   ever loses to the legacy `mod_pow` path or deduplication stops
+//!   paying for batch GCD — wall-clock ratios too noisy for a debug
+//!   `cargo test`.
 //!
 //! See `examples/quickstart.rs`, `examples/internet_scan.rs`,
 //! `examples/deployment_audit.rs`, and `examples/seven_month_study.rs`
